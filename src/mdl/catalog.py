@@ -30,7 +30,7 @@ import random
 from typing import Sequence
 
 from . import gf
-from .bits import mask_of
+from .bits import indices_of, mask_of
 from .core import (DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid,
                    UniformMatroid, direct_sum)
 
@@ -115,8 +115,8 @@ def _emit(m: Matroid, name: str, blocks: list[str], counter: list[int]) -> str:
         counter[0] += 1
         base_name = _emit(m.base, f"{name}.base{counter[0]}", blocks, counter)
         lines = [f"matroid {name}", "kind minor", f"of {base_name}"]
-        lines.append("contract" + "".join(f" {e}" for e in _mask_indices(m.contracted)))
-        lines.append("delete" + "".join(f" {e}" for e in _mask_indices(m.deleted)))
+        lines.append("contract" + "".join(f" {e}" for e in indices_of(m.contracted)))
+        lines.append("delete" + "".join(f" {e}" for e in indices_of(m.deleted)))
         lines.append("end")
         blocks.append("\n".join(lines))
         return name
@@ -129,17 +129,6 @@ def _emit(m: Matroid, name: str, blocks: list[str], counter: list[int]) -> str:
                                  "parts " + " ".join(part_names), "end"]))
         return name
     raise ValueError(f"matroid kind {m.kind!r} has no file representation")
-
-
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def write_matroid(m: Matroid, path: str, name: str = "m",
@@ -170,42 +159,44 @@ def read_matroid(path: str) -> Matroid:
             continue
         tokens = text.split()
         key = tokens[0]
-        if key == "matroid":
-            if block is not None:
-                fail(lineno, "block started before the previous one ended")
-            if len(tokens) != 2:
-                fail(lineno, "matroid line needs exactly one name")
-            block = {"name": tokens[1], "cols": [], "line": lineno}
-        elif block is None:
-            fail(lineno, f"directive {key!r} outside a matroid block")
-        elif key == "kind":
-            block["kind"] = tokens[1] if len(tokens) == 2 else fail(lineno, "bad kind line")
-        elif key == "field":
-            try:
+        try:
+            if key == "matroid":
+                if block is not None:
+                    fail(lineno, "block started before the previous one ended")
+                if len(tokens) != 2:
+                    fail(lineno, "matroid line needs exactly one name")
+                block = {"name": tokens[1], "cols": [], "line": lineno}
+            elif block is None:
+                fail(lineno, f"directive {key!r} outside a matroid block")
+            elif key == "kind":
+                block["kind"] = tokens[1] if len(tokens) == 2 else fail(lineno, "bad kind line")
+            elif key == "field":
                 block["field"] = gf.field(int(tokens[1]))
-            except (ValueError, IndexError) as exc:
-                fail(lineno, f"bad field order: {exc}")
-        elif key == "rank":
-            block["rank"] = int(tokens[1])
-        elif key == "col":
-            block["cols"].append((lineno, [int(t) for t in tokens[1:]]))
-        elif key == "params":
-            block["params"] = [int(t) for t in tokens[1:]]
-        elif key == "of":
-            block["of"] = tokens[1]
-        elif key == "contract":
-            block["contract"] = [int(t) for t in tokens[1:]]
-        elif key == "delete":
-            block["delete"] = [int(t) for t in tokens[1:]]
-        elif key == "parts":
-            block["parts"] = tokens[1:]
-        elif key == "end":
-            m = _build_block(path, block, named)
-            named[block["name"]] = m
-            last = m
-            block = None
-        else:
-            fail(lineno, f"unknown directive {key!r}")
+            elif key == "rank":
+                block["rank"] = int(tokens[1])
+            elif key == "col":
+                block["cols"].append((lineno, [int(t) for t in tokens[1:]]))
+            elif key == "params":
+                block["params"] = [int(t) for t in tokens[1:]]
+            elif key == "of":
+                block["of"] = tokens[1]
+            elif key == "contract":
+                block["contract"] = [int(t) for t in tokens[1:]]
+            elif key == "delete":
+                block["delete"] = [int(t) for t in tokens[1:]]
+            elif key == "parts":
+                block["parts"] = tokens[1:]
+            elif key == "end":
+                m = _build_block(path, block, named)
+                named[block["name"]] = m
+                last = m
+                block = None
+            else:
+                fail(lineno, f"unknown directive {key!r}")
+        except (ValueError, IndexError) as exc:
+            if isinstance(exc, ParseError):
+                raise
+            fail(lineno, f"bad {key!r} line: {exc}")
     if block is not None:
         fail(len(raw), f"block {block['name']!r} never ended")
     if last is None:

@@ -81,6 +81,8 @@ def cmd_conn(args) -> int:
     m = catalog.read_matroid(args.file)
     x = _parse_list(args.x)
     y = _parse_list(args.y)
+    if (x | y) & ~m.ground:
+        raise ValueError(f"elements outside the ground set: {indices_of((x | y) & ~m.ground)}")
     conn = m.local_conn(x, y)
     _emit(args, {"local_conn": conn, "skew": conn == 0})
     return OK
@@ -113,6 +115,8 @@ def cmd_rep(args) -> int:
         rows = [" ".join(str(v) for v in row) for row in res.matrix.entries]
         blocks.append("matrix\n" + "\n".join("  " + r for r in rows))
         info["rows"] = res.matrix.rows
+        if getattr(args, "json", False):
+            info["matrix"] = [list(row) for row in res.matrix.entries]
     _emit(args, info, blocks)
     return OK if res.representable else FAIL
 

@@ -215,76 +215,15 @@ class LinearMatroid(Matroid):
         super().__init__(matrix.cols, (1 << matrix.cols) - 1)
         self.matrix = matrix
         self.field = matrix.field
-        self._cols = matrix.columns()
-        # GF(2) columns pack into ints for xor elimination
-        self._bitcols = None
-        if self.field.q == 2:
-            self._bitcols = tuple(
-                sum(1 << i for i, v in enumerate(col) if v) for col in self._cols)
+        self._vecs = tuple(gf.vector(self.field, col) for col in matrix.columns())
 
     def _rank_impl(self, x: int) -> int:
-        if self._bitcols is not None:
-            pivots: list[int] = []
-            for e in bits(x):
-                v = self._bitcols[e]
-                for p in pivots:
-                    low = p & -p
-                    if v & low:
-                        v ^= p
-                if v:
-                    pivots.append(v)
-            return len(pivots)
-        return gf.rank_of_vectors(self.field, [self._cols[e] for e in bits(x)])
+        return len(gf.echelon(self.field, self._vecs, x))
 
     def closure(self, x: int) -> int:
         """Span membership test against an echelon basis of x's columns."""
-        f = self.field
-        if self._bitcols is not None:
-            pivots: list[int] = []
-            for e in bits(x):
-                v = self._bitcols[e]
-                for p in pivots:
-                    if v & (p & -p):
-                        v ^= p
-                if v:
-                    pivots.append(v)
-            cl = x
-            for e in bits(self.ground & ~x):
-                v = self._bitcols[e]
-                for p in pivots:
-                    if v & (p & -p):
-                        v ^= p
-                if not v:
-                    cl |= 1 << e
-            return cl
-        add_t, mul_t, neg_t, inv_t = f.add_table, f.mul_table, f.neg_table, f.inv_table
-
-        def reduce(col):
-            w = list(col)
-            for lead, pv in pivots:
-                c = w[lead]
-                if c:
-                    row = mul_t[c]
-                    for i in range(len(w)):
-                        if pv[i]:
-                            w[i] = add_t[w[i]][neg_t[row[pv[i]]]]
-            return w
-
-        pivots: list[tuple[int, list[int]]] = []
-        for e in bits(x):
-            w = reduce(self._cols[e])
-            lead = next((i for i, wi in enumerate(w) if wi), -1)
-            if lead >= 0:
-                c = inv_t[w[lead]]
-                if c != 1:
-                    row = mul_t[c]
-                    w = [row[wi] for wi in w]
-                pivots.append((lead, w))
-        cl = x
-        for e in bits(self.ground & ~x):
-            if not any(reduce(self._cols[e])):
-                cl |= 1 << e
-        return cl
+        f, vecs = self.field, self._vecs
+        return x | gf.spanned(f, gf.echelon(f, vecs, x), vecs, self.ground & ~x)
 
 
 class MinorMatroid(Matroid):

@@ -2,6 +2,8 @@
 
 import os
 
+from .bits import bits
+
 
 def cap_override(default: int) -> int:
     """Search caps honor MDL_CAP_OVERRIDE (may make runs non-terminating)."""
@@ -17,13 +19,14 @@ class PremiseError(ValueError):
     """A procedure's precondition does not hold for the given input."""
 
 
-class UniformMinorDetected(RuntimeError):
+class UniformMinorDetected(PremiseError):
     """A forbidden uniform restriction showed up mid-procedure.
 
     Carries the witness subset (a bit mask) whose restriction is the
-    uniform matroid that the caller asserted was excluded.
+    uniform matroid that the caller asserted was excluded; the message
+    lists its elements.
     """
 
     def __init__(self, message: str, witness: int):
-        super().__init__(message)
+        super().__init__(f"{message} on elements {' '.join(map(str, bits(witness)))}")
         self.witness = witness

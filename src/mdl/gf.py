@@ -15,6 +15,11 @@ An element is the integer whose base-p digits are the coefficients of
 its polynomial representative, constant term first.  For prime q this is
 just the integer mod p; in every case the integers 0..p-1 form the prime
 subfield.
+
+Gaussian elimination lives here and nowhere else: `vector` encodes a
+column, `echelon` reduces the columns of a subset to pivots, and
+`spanned` tests further columns against them.  Linear matroid ranks and
+closures and the representability search's span checks all use them.
 """
 
 from __future__ import annotations
@@ -147,17 +152,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)
         return self.inv_table[x]
 
-    def arith(self, op: str, x: int, y: int = 0) -> int:
-        if op == "add":
-            return self.add(x, y)
-        if op == "mul":
-            return self.mul(x, y)
-        if op == "neg":
-            return self.neg(x)
-        if op == "inv":
-            return self.inv(x)
-        raise ValueError(f"unknown field op {op!r}")
-
     def __repr__(self):
         return f"GF({self.q})"
 
@@ -203,35 +197,100 @@ class Matrix:
         return f"Matrix(GF({self.field.q}), {self.rows}x{self.cols})"
 
 
-def rank_of_vectors(f: FiniteField, vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of a family of coordinate vectors by Gaussian elimination."""
-    pivots: list[tuple[int, list[int]]] = []
+def vector(f: FiniteField, coords: Sequence[int]):
+    """The echelon kernel's encoding of a coordinate vector.
+
+    Over GF(2) an int with bit i set when coordinate i is 1, reduced by
+    xor; over larger fields the coordinates as a tuple, reduced through
+    the field tables.  Only this module looks inside an encoded vector.
+    """
+    if f.q == 2:
+        x = 0
+        for i, c in enumerate(coords):
+            if c:
+                x |= 1 << i
+        return x
+    return tuple(coords)
+
+
+def echelon(f: FiniteField, vecs, mask: int) -> list:
+    """Echelon basis of vecs[e] for e in mask (vecs holds `vector`s).
+
+    len() of the result is the rank of those vectors; pass it to
+    `spanned`.  Over GF(2) a pivot is an int whose lowest set bit is its
+    lead; no pivot has the lead of an earlier one.  Over GF(q) a pivot
+    is (lead, [(i, -a_i) for each nonzero a_i]) where a is the reduced
+    vector scaled to a_lead = 1, zero at every earlier pivot's lead.
+    """
+    pivots: list = []
+    if f.q == 2:
+        while mask:
+            low = mask & -mask
+            v = vecs[low.bit_length() - 1]
+            mask ^= low
+            for p in pivots:
+                if v & (p & -p):
+                    v ^= p
+            if v:
+                pivots.append(v)
+        return pivots
     add_t, mul_t, neg_t, inv_t = f.add_table, f.mul_table, f.neg_table, f.inv_table
-    for v in vectors:
-        w = list(v)
-        for lead, pv in pivots:
+    while mask:
+        low = mask & -mask
+        w = list(vecs[low.bit_length() - 1])
+        mask ^= low
+        for lead, nz in pivots:
             c = w[lead]
             if c:
                 row = mul_t[c]
-                for i in range(len(w)):
-                    pvi = pv[i]
-                    if pvi:
-                        w[i] = add_t[w[i]][neg_t[row[pvi]]]
-        lead = -1
-        for i, wi in enumerate(w):
-            if wi:
-                lead = i
+                for i, p in nz:
+                    w[i] = add_t[w[i]][row[p]]
+        for lead, c in enumerate(w):
+            if c:
                 break
-        if lead < 0:
+        else:
             continue
-        c = inv_t[w[lead]]
-        if c != 1:
-            row = mul_t[c]
-            w = [row[wi] for wi in w]
-        pivots.append((lead, w))
+        row = mul_t[inv_t[c]]
+        pivots.append((lead, [(i, neg_t[row[wi]]) for i, wi in enumerate(w) if wi]))
         if len(pivots) == len(w):
             break
-    return len(pivots)
+    return pivots
+
+
+def spanned(f: FiniteField, pivots: list, vecs, mask: int) -> int:
+    """The elements e of mask whose vecs[e] lies in the span of pivots."""
+    out = 0
+    if f.q == 2:
+        while mask:
+            low = mask & -mask
+            v = vecs[low.bit_length() - 1]
+            mask ^= low
+            for p in pivots:
+                if v & (p & -p):
+                    v ^= p
+            if not v:
+                out |= low
+        return out
+    add_t, mul_t = f.add_table, f.mul_table
+    while mask:
+        low = mask & -mask
+        w = list(vecs[low.bit_length() - 1])
+        mask ^= low
+        for lead, nz in pivots:
+            c = w[lead]
+            if c:
+                row = mul_t[c]
+                for i, p in nz:
+                    w[i] = add_t[w[i]][row[p]]
+        if not any(w):
+            out |= low
+    return out
+
+
+def rank_of_vectors(f: FiniteField, vectors: Iterable[Sequence[int]]) -> int:
+    """Rank of a family of coordinate vectors."""
+    vecs = [vector(f, v) for v in vectors]
+    return len(echelon(f, vecs, (1 << len(vecs)) - 1))
 
 
 def normalized_vectors(f: FiniteField, r: int) -> list[tuple[int, ...]]:

@@ -42,6 +42,16 @@ class SuiteResult:
         return good, len(self.trials)
 
 
+def _guarded_trial(i: int, m: Matroid, check, raised: str) -> Trial:
+    """Trial i from check() -> (ok, detail); an exception fails the trial
+    with detail "<raised> <exception>" instead of ending the suite."""
+    try:
+        ok, detail = check()
+    except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
+        return Trial(i, False, f"{raised} {exc}", m)
+    return Trial(i, ok, detail, None if ok else m)
+
+
 def _random_linear(rng: random.Random, q: int, rmin: int, rmax: int,
                    nmin: int, nmax: int) -> LinearMatroid:
     r = rng.randint(rmin, rmax)
@@ -115,19 +125,17 @@ def suite_thm4(trials: int, seed: int) -> SuiteResult:
         r = m.rank()
         bound = math.comb(b - 1, 1) ** max(r - 1, 0)
         t1 = covers.tau(m, 1).value
-        try:
+
+        def check():
             cov = covers.kdensity_cover(m, 1, b)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-            out.append(Trial(i, False, f"kdensity_cover raised {exc}", m))
-            continue
-        union = 0
-        for s in cov.sets:
-            union |= s
-        ranks_ok = all(m.rank(s) <= 1 for s in cov.sets)
-        ok = (t1 <= bound and union == m.ground and len(cov.sets) <= bound and ranks_ok)
-        out.append(Trial(i, ok,
-                         f"q={q} r={r} tau1={t1} cover={len(cov.sets)} bound={bound}",
-                         None if ok else m))
+            union = 0
+            for s in cov.sets:
+                union |= s
+            ranks_ok = all(m.rank(s) <= 1 for s in cov.sets)
+            ok = (t1 <= bound and union == m.ground and len(cov.sets) <= bound and ranks_ok)
+            return ok, f"q={q} r={r} tau1={t1} cover={len(cov.sets)} bound={bound}"
+
+        out.append(_guarded_trial(i, m, check, "kdensity_cover raised"))
     return SuiteResult("thm4", out)
 
 
@@ -189,15 +197,13 @@ def suite_lem7(trials: int, seed: int) -> SuiteResult:
         if loops:
             cmask |= 1 << (base_cols + len(extras))
         cert = stacks.StackCert(parts, 2, 2)
-        try:
+
+        def check():
             res = stacks.project_stack(m, cert, cmask, k)
-            check = stacks.verify_stack(m.contract(cmask), res)
-            ok = check.ok and res.height == k
-            detail = f"k={k} rC={m.rank(cmask)} overlap={overlap} parts={res.height}"
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            detail = f"raised {exc}"
-        out.append(Trial(i, ok, detail, None if ok else m))
+            ok = stacks.verify_stack(m.contract(cmask), res).ok and res.height == k
+            return ok, f"k={k} rC={m.rank(cmask)} overlap={overlap} parts={res.height}"
+
+        out.append(_guarded_trial(i, m, check, "raised"))
     return SuiteResult("lem7", out)
 
 
@@ -218,15 +224,13 @@ def suite_lem8(trials: int, seed: int) -> SuiteResult:
         for j in range(len(extras) + loops):
             x |= 1 << (base_cols + j)
         cert = stacks.StackCert(parts, 2, 2)
-        try:
+
+        def check():
             c, res = stacks.skew_stack(m, cert, x, a)
             conn = m.contract(c).local_conn(x & ~c, res.union())
-            ok = conn == 0 and res.height == h
-            detail = f"a={a} h={h} C={bin(c)} conn={conn}"
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            detail = f"raised {exc}"
-        out.append(Trial(i, ok, detail, None if ok else m))
+            return conn == 0 and res.height == h, f"a={a} h={h} C={bin(c)} conn={conn}"
+
+        out.append(_guarded_trial(i, m, check, "raised"))
     return SuiteResult("lem8", out)
 
 
@@ -244,23 +248,22 @@ def suite_lem9(trials: int, seed: int) -> SuiteResult:
             m = catalog.gen("pg", (4, 2)) if q == 2 else catalog.gen("pg", (3, 3))
         else:
             m = _random_linear(rng, q, 2, 4, 4, 10)
-        if rng.random() < 0.25:
+        if rng.random() < 0.25 or m.rank() < 2:
             y = rng.choice(m.flats_of_rank(1))  # rank <= a: trivial branch
         else:
             kk = rng.randint(2, min(3, m.rank()))
             y = rng.choice(m.flats_of_rank(kk))
-        try:
+
+        def check():
             x = reductions.reduce_connectivity(m, y, a, b)
             conn = m.local_conn(x, y)
             lhs = covers.tau(m.restrict(x), a).value
             rhs = Fraction(covers.tau(m, a).value,
                            math.comb(b - 1, a) ** max(m.rank(y) - a, 0))
-            ok = conn <= a and lhs >= rhs
-            detail = f"q={q} rY={m.rank(y)} conn={conn} tau|X={lhs} target={rhs}"
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            detail = f"raised {exc}"
-        out.append(Trial(i, ok, detail, None if ok else m))
+            return (conn <= a and lhs >= rhs,
+                    f"q={q} rY={m.rank(y)} conn={conn} tau|X={lhs} target={rhs}")
+
+        out.append(_guarded_trial(i, m, check, "raised"))
     return SuiteResult("lem9", out)
 
 
@@ -278,18 +281,16 @@ def suite_lem11(trials: int, seed: int) -> SuiteResult:
     for i in range(trials):
         a, b, d, n = grid[i % len(grid)]
         m = UniformMatroid(a + 1, n)
-        try:
+
+        def check():
             c, x = covers.thick_uniform_minor(m, a, b, d)
             minor = m.contract(c)
-            uniform_ok = (minor.rank(x) == a + 1 and x.bit_count() >= b and
-                          all(minor.rank(s) == a + 1
-                              for s in _sample_subsets(x, a + 1, 20, seed + i)))
-            ok = uniform_ok
-            detail = f"a={a} b={b} d={d} n={n} |X|={x.bit_count()}"
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            detail = f"raised {exc}"
-        out.append(Trial(i, ok, detail, None if ok else m))
+            ok = (minor.rank(x) == a + 1 and x.bit_count() >= b and
+                  all(minor.rank(s) == a + 1
+                      for s in _sample_subsets(x, a + 1, 20, seed + i)))
+            return ok, f"a={a} b={b} d={d} n={n} |X|={x.bit_count()}"
+
+        out.append(_guarded_trial(i, m, check, "raised"))
     return SuiteResult("lem11", out)
 
 
@@ -341,15 +342,13 @@ def suite_lem14(trials: int, seed: int) -> SuiteResult:
         npg = (q ** n - 1) // (q - 1)
         x = mask_of(range(npg, npg + extra))
         h = m.rank(x)
-        try:
+
+        def check():
             rpt = stacks.check_no_stack_in_projection(m, x, q, h, 3)
-            ok = rpt.ok
             summary = {t: v is None for t, v in rpt.results.items()}
-            detail = f"n={n} q={q} extra={extra} h={h} none_found={summary}"
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            detail = f"raised {exc}"
-        out.append(Trial(i, ok, detail, None if ok else m))
+            return rpt.ok, f"n={n} q={q} extra={extra} h={h} none_found={summary}"
+
+        out.append(_guarded_trial(i, m, check, "raised"))
     return SuiteResult("lem14", out)
 
 
@@ -370,16 +369,14 @@ def suite_lem16(trials: int, seed: int) -> SuiteResult:
         a = 1
         q = 2
         alpha = Fraction(covers.tau(m, a).value, q ** m.rank())
-        try:
+
+        def check():
             n = reductions.weakly_round_restriction(m, a, q, alpha)
             round_ok, _ = n.is_weakly_round()
             dens_ok = covers.tau(n, a).value >= alpha * q ** n.rank()
-            ok = round_ok and dens_ok
-            detail = f"r(M)={m.rank()} r(N)={n.rank()} alpha={alpha}"
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            detail = f"raised {exc}"
-        out.append(Trial(i, ok, detail, None if ok else m))
+            return round_ok and dens_ok, f"r(M)={m.rank()} r(N)={n.rank()} alpha={alpha}"
+
+        out.append(_guarded_trial(i, m, check, "raised"))
     return SuiteResult("lem16", out)
 
 
@@ -406,17 +403,15 @@ def suite_lem17(trials: int, seed: int) -> SuiteResult:
                             if fl.bit_count() <= reductions.RESTRICTION_EQ_CAP])
         x = rng.choice([fl for fl in m.flats_of_rank(kx)
                         if fl.bit_count() <= reductions.RESTRICTION_EQ_CAP])
-        try:
+
+        def check():
             n = reductions.span_into(m, x, y)
             span_ok = n.rank(y) == n.rank()
             keep_x = all(n.rank(z) == m.rank(z) for z in submasks(x))
             keep_y = all(n.rank(z) == m.rank(z) for z in submasks(y))
-            ok = span_ok and keep_x and keep_y
-            detail = f"rX={m.rank(x)} rY={m.rank(y)} r(N)={n.rank()}"
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            detail = f"raised {exc}"
-        out.append(Trial(i, ok, detail, None if ok else m))
+            return span_ok and keep_x and keep_y, f"rX={m.rank(x)} rY={m.rank(y)} r(N)={n.rank()}"
+
+        out.append(_guarded_trial(i, m, check, "raised"))
     return SuiteResult("lem17", out)
 
 

@@ -81,9 +81,10 @@ def is_representable(m: Matroid, q: int) -> RepResult:
     simp, mapping = m.simplify()
     els = sorted(simp.elements())
     npts = len(els)
-    if r > MAX_RANK or npts > MAX_POINTS:
-        raise CapExceeded(f"representability cap: rank {r} > {MAX_RANK} "
-                          f"or {npts} points > {MAX_POINTS}")
+    if r > MAX_RANK:
+        raise CapExceeded(f"representability cap: rank {r} > {MAX_RANK}")
+    if npts > MAX_POINTS:
+        raise CapExceeded(f"representability cap: {npts} points > {MAX_POINTS}")
     rows = max(r, 1)
 
     def full_matrix(assign: dict[int, Vec]) -> gf.Matrix:
@@ -155,40 +156,6 @@ def is_representable(m: Matroid, q: int) -> RepResult:
 
     unit: list[Vec] = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
 
-    def span_pivots(vecs: list[Vec]):
-        pivots: list[tuple[int, list[int]]] = []
-        neg_t, inv_t = f.neg_table, f.inv_table
-        for v in vecs:
-            w = list(v)
-            for lead, pv in pivots:
-                c = w[lead]
-                if c:
-                    row = mul_t[c]
-                    for i in range(r):
-                        if pv[i]:
-                            w[i] = add_t[w[i]][neg_t[row[pv[i]]]]
-            lead = next((i for i, wi in enumerate(w) if wi), -1)
-            if lead < 0:
-                continue
-            c = inv_t[w[lead]]
-            if c != 1:
-                row = mul_t[c]
-                w = [row[wi] for wi in w]
-            pivots.append((lead, w))
-        return pivots
-
-    def in_span(v: Vec, pivots) -> bool:
-        neg_t = f.neg_table
-        w = list(v)
-        for lead, pv in pivots:
-            c = w[lead]
-            if c:
-                row = mul_t[c]
-                for i in range(r):
-                    if pv[i]:
-                        w[i] = add_t[w[i]][neg_t[row[pv[i]]]]
-        return not any(w)
-
     nodes = 0
 
     def candidates_for(e: int, assign: dict[int, Vec], assigned_mask: int):
@@ -210,20 +177,18 @@ def is_representable(m: Matroid, q: int) -> RepResult:
             for j in range(i + 1, len(items)):
                 if (items[i], items[j]) not in collinear_pairs:
                     forbidden |= image_line(assign[items[i]], assign[items[j]])
-        pool = sorted(allowed) if allowed is not None else points
-        span_checks = []
-        for fl, k in flats_through[e]:
-            part = fl & assigned_mask
-            if part and simp.rank(part) == k:
-                span_checks.append(span_pivots([assign[x] for x in bits(part)]))
-        out = []
-        for v in pool:
-            if v in forbidden:
-                continue
-            if any(not in_span(v, pv) for pv in span_checks):
-                continue
-            out.append(v)
-        return out
+        pool = [v for v in (sorted(allowed) if allowed is not None else points)
+                if v not in forbidden]
+        parts = [fl & assigned_mask for fl, k in flats_through[e]
+                 if simp.rank(fl & assigned_mask) == k]
+        if not parts:
+            return pool
+        pool_vecs = [gf.vector(f, v) for v in pool]
+        assigned_vecs = {x: gf.vector(f, v) for x, v in assign.items()}
+        keep = (1 << len(pool)) - 1
+        for part in parts:
+            keep = gf.spanned(f, gf.echelon(f, assigned_vecs, part), pool_vecs, keep)
+        return [pool[i] for i in bits(keep)]
 
     def search(idx: int, assign: dict[int, Vec], assigned_mask: int):
         nonlocal nodes

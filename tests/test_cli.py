@@ -61,6 +61,18 @@ def test_rep_verdict_exit_codes(tmp_path, capsys):
     assert code == 1 and "representable=False" in out
 
 
+def test_rep_json_matrix(tmp_path, capsys):
+    f = str(tmp_path / "u24.mtd")
+    run(capsys, "gen", "uniform", "2", "4", "-o", f)
+    code, text, _ = run(capsys, "rep", f, "--q", "3")
+    code, out, _ = run(capsys, "rep", f, "--q", "3", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["rows"] == len(data["matrix"]) == 2
+    shown = text.split("matrix\n", 1)[1].split("\n")[:2]
+    assert [" ".join(map(str, row)) for row in data["matrix"]] == [r.strip() for r in shown]
+
+
 def test_pg_recognition(tmp_path, capsys):
     f = str(tmp_path / "fano.mtd")
     run(capsys, "gen", "pg", "3", "2", "-o", f)
@@ -117,6 +129,20 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "tau", str(tmp_path / "missing.mtd"), "--a", "1")
     assert code == 2 and "error:" in err
+    # a forbidden uniform restriction is a premise error naming its witness
+    u28 = str(tmp_path / "u28.mtd")
+    run(capsys, "gen", "uniform", "2", "8", "-o", u28)
+    code, _, err = run(capsys, "cover", "thm4", u28, "--a", "1", "--b", "4")
+    assert code == 2 and "error:" in err and "0 1 2 3" in err
+    # malformed directives report file:line
+    for bad in ("rank", "rank x"):
+        p = tmp_path / "bad.mtd"
+        p.write_text(f"matroid m\nkind linear\nfield 2\n{bad}\nend\n")
+        code, _, err = run(capsys, "rep", str(p), "--q", "2")
+        assert code == 2 and f"{p}:4:" in err, (bad, err)
+    # elements outside the ground set
+    code, _, err = run(capsys, "conn", u28, "--x", "0,99", "--y", "1")
+    assert code == 2 and "error:" in err and "99" in err
 
 
 def test_round_extract(tmp_path, capsys):

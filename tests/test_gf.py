@@ -99,16 +99,6 @@ def test_prime_subfield_embedding():
                 assert big.mul(x, y) == small.mul(x, y)
 
 
-def test_arith_dispatch():
-    f = gf.field(7)
-    assert f.arith("add", 3, 5) == 1
-    assert f.arith("mul", 3, 5) == 1
-    assert f.arith("neg", 3) == 4
-    assert f.arith("inv", 3) == 5
-    with pytest.raises(ValueError):
-        f.arith("div", 1, 2)
-
-
 def test_matrix_rank_identity_and_zero():
     f = gf.field(2)
     ident = gf.Matrix(f, 3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -33,3 +33,9 @@ def test_counts_property():
 def test_each_suite_smoke(name):
     r = harness.run_suite(name, 4, 7)
     assert r.passed, [t.detail for t in r.trials if not t.passed]
+
+
+def test_lem9_rank_one_corpus():
+    # seed 0 draws a rank-1 random matroid at trial 77; it takes the
+    # trivial branch instead of asking for a rank-2 flat
+    assert harness.run_suite("lem9", 78, 0).passed

@@ -91,6 +91,15 @@ def test_uniform_fact_caps():
         rep.uniform_representability_fact(1, 8, 8)
 
 
+def test_cap_message_names_the_exceeded_limit():
+    with pytest.raises(CapExceeded) as exc:
+        rep.is_representable(UniformMatroid(6, 6), 2)
+    assert str(exc.value) == "representability cap: rank 6 > 5"
+    with pytest.raises(CapExceeded) as exc:
+        rep.is_representable(catalog.gen("pg", (4, 4)), 4)
+    assert str(exc.value) == "representability cap: 85 points > 40"
+
+
 def test_returned_matrix_is_sound():
     for m, q in [(TINY["fano"], 2), (TINY["u24"], 3), (TINY["u25"], 4)]:
         res = rep.is_representable(m, q)
