@@ -31,10 +31,22 @@ def _emit(args, pairs: dict, blocks: list[str] | None = None) -> None:
         print(b, end="" if b.endswith("\n") else "\n")
 
 
-def _parse_list(text: str) -> int:
-    if not text.strip():
-        return 0
-    return mask_of(int(tok) for tok in text.replace(",", " ").split())
+def _parse_list(text: str, m) -> int:
+    """An element list of m; elements outside its ground set are a usage error."""
+    x = mask_of(int(tok) for tok in text.replace(",", " ").split())
+    if x & ~m.ground:
+        raise ValueError(f"elements outside the ground set: {indices_of(x & ~m.ground)}")
+    return x
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than low."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {v}")
+        return v
+    return parse
 
 
 def _cover_block(m, cover) -> str:
@@ -79,10 +91,8 @@ def cmd_tauw(args) -> int:
 
 def cmd_conn(args) -> int:
     m = catalog.read_matroid(args.file)
-    x = _parse_list(args.x)
-    y = _parse_list(args.y)
-    if (x | y) & ~m.ground:
-        raise ValueError(f"elements outside the ground set: {indices_of((x | y) & ~m.ground)}")
+    x = _parse_list(args.x, m)
+    y = _parse_list(args.y, m)
     conn = m.local_conn(x, y)
     _emit(args, {"local_conn": conn, "skew": conn == 0})
     return OK
@@ -134,7 +144,7 @@ def cmd_stack(args) -> int:
         if not args.parts:
             print("stack verify needs --parts", file=sys.stderr)
             return USAGE
-        parts = tuple(_parse_list(p) for p in args.parts.split("|"))
+        parts = tuple(_parse_list(p, m) for p in args.parts.split("|"))
         cert = stacks.StackCert(parts, args.q, args.t)
         check = stacks.verify_stack(m, cert)
         _emit(args, {"valid": check.ok, "reason": check.reason})
@@ -214,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tau", help="exact a-covering number with certificate")
     p.add_argument("file")
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--a", type=_at_least(0), required=True)
     add_json(p)
     p.set_defaults(func=cmd_tau)
 
@@ -234,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("round", help="weak roundness check / extraction")
     p.add_argument("file")
     p.add_argument("--extract", action="store_true")
-    p.add_argument("--a", type=int, default=1)
+    p.add_argument("--a", type=_at_least(0), default=1)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--alpha", default="1", help="exact rational like 7/32")
     add_json(p)
@@ -273,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a lemma property suite")
     p.add_argument("lemma", choices=sorted(harness.SUITES))
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--trials", type=_at_least(1), default=30)
     p.add_argument("--seed", type=int, default=0)
     add_json(p)
     p.set_defaults(func=cmd_verify)

@@ -20,7 +20,7 @@ from .bits import bits, indices_of, submasks
 
 MAX_GROUND = 128
 
-# exhaustive validation/enumeration ceiling; beyond this we sample
+# exhaustive rank-axiom validation ceiling; beyond this we sample
 EXHAUSTIVE_LIMIT = 14
 
 

@@ -6,9 +6,17 @@ from .bits import bits
 
 
 def cap_override(default: int) -> int:
-    """Search caps honor MDL_CAP_OVERRIDE (may make runs non-terminating)."""
+    """Search caps honor MDL_CAP_OVERRIDE (may make runs non-terminating).
+
+    The override only raises a cap: a value below the default, or one
+    that is not an integer, is refused with a ValueError naming it.
+    """
     v = os.environ.get("MDL_CAP_OVERRIDE")
-    return int(v) if v else default
+    if not v:
+        return default
+    if not v.isdecimal() or int(v) < default:
+        raise ValueError(f"MDL_CAP_OVERRIDE={v!r} must be an integer >= {default}")
+    return int(v)
 
 
 class CapExceeded(RuntimeError):

@@ -9,8 +9,9 @@ Remaining elements are assigned in order of decreasing constraint
 (membership count in lines), with candidate vectors filtered by the
 lines and higher flats through already-assigned elements.  Those filters
 are necessary conditions only, so a completed assignment counts solely
-after its entire rank function is re-verified against the input; "False"
-means the normalized search space was exhausted.
+after every flat of the input is re-checked to be a flat of the same
+rank among the assigned columns, which forces equal rank functions;
+"False" means the normalized search space was exhausted.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf
-from .bits import bits, submasks
-from .core import EXHAUSTIVE_LIMIT, LinearMatroid, Matroid, UniformMatroid
+from .bits import bits
+from .core import Matroid, UniformMatroid
 from .errors import CapExceeded
 
 MAX_RANK = 5
@@ -40,33 +41,21 @@ class RepResult:
         return self.representable
 
 
-def _translate(x: int, pos: dict[int, int]) -> int:
-    out = 0
-    for e in bits(x):
-        out |= 1 << pos[e]
-    return out
+def _rank_functions_match(simp: Matroid, f: gf.FiniteField, assign: dict[int, Vec]) -> bool:
+    """Exact equality of simp's rank function and that of its assigned columns.
 
-
-def _rank_functions_match(simp: Matroid, els: list[int], lin: LinearMatroid) -> bool:
-    """Exact equality of simp's rank function and the column matroid's.
-
-    Small grounds: all subsets.  Larger: compare complete flat families
-    by rank.  Equal flat families force equal rank functions (rank of X
-    is the rank of the least flat containing X), and every flat is a
-    closure of at most r elements, so this is the subset check deduped
-    through closures.
+    Checks that every flat F of simp, at every rank k, spans a column
+    space of rank k containing no column outside F.  Then each flat of
+    simp is a flat of the same rank of the columns, and by induction
+    each independent set I stays independent (b lies outside cl(I - b),
+    a flat), so the two rank functions agree on every subset.
     """
-    pos = {e: i for i, e in enumerate(els)}
-    if len(els) <= EXHAUSTIVE_LIMIT:
-        return all(simp.rank(x) == lin.rank(_translate(x, pos))
-                   for x in submasks(simp.ground))
-    r = simp.rank()
-    if lin.rank() != r:
-        return False
-    for k in range(r + 1):
-        ours = [_translate(fl, pos) for fl in simp.flats_of_rank(k)]
-        if sorted(ours) != lin.flats_of_rank(k):
-            return False
+    vecs = {e: gf.vector(f, v) for e, v in assign.items()}
+    for k in range(simp.rank() + 1):
+        for fl in simp.flats_of_rank(k):
+            pivots = gf.echelon(f, vecs, fl)
+            if len(pivots) != k or gf.spanned(f, pivots, vecs, simp.ground & ~fl):
+                return False
     return True
 
 
@@ -193,9 +182,7 @@ def is_representable(m: Matroid, q: int) -> RepResult:
     def search(idx: int, assign: dict[int, Vec], assigned_mask: int):
         nonlocal nodes
         if idx == len(order):
-            cols = [assign[e] for e in els]
-            lin = LinearMatroid(gf.Matrix.from_columns(f, cols, r))
-            if _rank_functions_match(simp, els, lin):
+            if _rank_functions_match(simp, f, assign):
                 return dict(assign)
             return None
         nodes += 1

@@ -143,6 +143,30 @@ def test_usage_errors(tmp_path, capsys):
     # elements outside the ground set
     code, _, err = run(capsys, "conn", u28, "--x", "0,99", "--y", "1")
     assert code == 2 and "error:" in err and "99" in err
+    tower = str(tmp_path / "tower.mtd")
+    run(capsys, "gen", "u24_tower", "2", "-o", tower)
+    code, out, err = run(capsys, "stack", "verify", tower, "--q", "2", "--t", "2",
+                         "--parts", "0,1,2,3|4,99")
+    assert code == 2 and "valid=" not in out and "99" in err
+    # a negative rank or a trial count below one is refused, not answered
+    code, out, _ = run(capsys, "tau", tower, "--a", "-1")
+    assert code == 2 and "tau=" not in out
+    for trials in ("-3", "0"):
+        code, out, _ = run(capsys, "verify", "lem10", "--trials", trials)
+        assert code == 2 and "passed=" not in out
+
+
+def test_cap_override_only_raises(tmp_path, capsys, monkeypatch):
+    f = str(tmp_path / "tower.mtd")
+    run(capsys, "gen", "u24_tower", "2", "-o", f)
+    find = ("stack", "find", f, "--q", "2", "--h", "2", "--t", "2")
+    for bad in ("abc", "0", "999999"):
+        monkeypatch.setenv("MDL_CAP_OVERRIDE", bad)
+        code, out, err = run(capsys, *find)
+        assert code == 2 and "MDL_CAP_OVERRIDE" in err and repr(bad) in err, (bad, err)
+    monkeypatch.setenv("MDL_CAP_OVERRIDE", "2000000")
+    code, out, _ = run(capsys, *find)
+    assert code == 0 and "stack q=2 t=2" in out
 
 
 def test_round_extract(tmp_path, capsys):

@@ -127,6 +127,9 @@ def test_tau_trivial_cases():
     assert covers.tau(m, 2).value == 1
     assert covers.tau(m, 5).value == 1
     assert covers.tau(m, 0).value == INF
+    # the library keeps the sentinel for a < 0 (is_d_thick asks for it);
+    # only the CLI refuses a negative --a
+    assert covers.tau(m, -1).value == INF
     empty = UniformMatroid(0, 0)
     assert covers.tau(empty, 1).value == 0
     loops = LinearMatroid(gf.Matrix.from_columns(gf.field(2), [(0,), (0,)], 1))

@@ -1,5 +1,10 @@
 """Harness machinery: determinism, registry, failure reporting."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from mdl import harness
@@ -39,3 +44,17 @@ def test_lem9_rank_one_corpus():
     # seed 0 draws a rank-1 random matroid at trial 77; it takes the
     # trivial branch instead of asking for a rank-2 flat
     assert harness.run_suite("lem9", 78, 0).passed
+
+
+def test_perfbench_tracer_wraps_every_layer():
+    # the benchmark's traced run wraps mdl's entry points by name; run it
+    # in a subprocess because installing rebinds mdl's module globals
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import mdl, tracing; t = tracing.Tracer(); t.install(mdl); "
+            "mdl.cli.main(['verify', 'lem10', '--trials', '2']); "
+            "assert t.counts['harness.trials'] == 2, dict(t.counts)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "perfbench"), str(root / "src")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -1,13 +1,14 @@
 """Reduction procedures: exact postconditions and trivial branches."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from mdl import catalog, covers
 from mdl import reduce as reductions
-from mdl.bits import mask_of, submasks
+from mdl.bits import bits, mask_of, submasks
 from mdl.core import UniformMatroid, direct_sum
 from mdl.errors import PremiseError
 
@@ -120,3 +121,54 @@ def test_span_into_requires_rank_gap():
     line = m.flats_of_rank(2)[0]
     with pytest.raises(PremiseError):
         reductions.span_into(m, line, line)
+
+
+# -- the skew test against a submask reference --------------------------------
+
+
+def restriction_preserved(m, c, x):
+    """Reference: (M/C)|X = M|X compared on every subset of X."""
+    mc = m.contract(c)
+    return all(mc.rank(z) == m.rank(z) for z in submasks(x))
+
+
+def skew_corpus():
+    yield catalog.gen("pg", (3, 2))
+    yield catalog.gen("pg", (4, 2))
+    yield UniformMatroid(3, 7)
+    yield direct_sum([UniformMatroid(2, 4), catalog.gen("pg", (3, 2))])
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        yield catalog.gen("linear_random", (4, 10, q), seed=q)
+
+
+def test_skew_test_matches_submask_reference():
+    rng = random.Random(17)
+    verdicts = []
+    for m in skew_corpus():
+        els = sorted(m.elements())
+        for _ in range(12):
+            rng.shuffle(els)
+            cut = rng.randint(1, min(7, len(els) - 1))
+            x = mask_of(els[:cut])
+            c = mask_of(e for e in els[cut:] if rng.random() < 0.3)
+            want = restriction_preserved(m, c, x)
+            assert (m.local_conn(c, x) == 0) == want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def test_span_into_matches_submask_reference():
+    rng = random.Random(3)
+    for m in [catalog.gen("pg", (4, 2)), catalog.gen("pg", (5, 2)), catalog.gen("pg", (3, 3)),
+              UniformMatroid(3, 7)]:
+        r = m.rank()
+        for _ in range(6):
+            kx = rng.randint(1, r - 2)
+            x = rng.choice(m.flats_of_rank(kx))
+            y = rng.choice(m.flats_of_rank(rng.randint(kx + 1, r - 1)))
+            c = 0
+            for e in bits(m.ground & ~(x | y)):
+                trial = c | (1 << e)
+                if restriction_preserved(m, trial, x) and restriction_preserved(m, trial, y):
+                    c = trial
+            assert reductions.span_into(m, x, y).ground == m.ground & ~c

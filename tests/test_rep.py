@@ -1,5 +1,7 @@
 """Representability oracle vs an independent exhaustive enumerator."""
 
+import random
+
 import pytest
 
 from mdl import catalog, gf, rep
@@ -169,3 +171,56 @@ def test_rank_zero_and_one():
     assert all(v == (0,) for v in res.matrix.columns())
     par = LinearMatroid(gf.Matrix.from_columns(f, [(1,), (2,)], 1))
     assert rep.is_representable(par, 2).representable
+
+
+# -- the flat re-check against an all-subsets reference ---------------------
+
+
+def subsets_rank_match(simp, f, assign):
+    """Reference: compare ranks on every subset of simp's ground set."""
+    return all(simp.rank(x) == gf.rank_of_vectors(f, [assign[e] for e in bits(x)])
+               for x in submasks(simp.ground))
+
+
+def rank_match_corpus(q):
+    """Simple matroids over GF(q) with their columns, plus perturbed copies.
+
+    The perturbations scale a column (the rank function is kept), replace
+    a column by a random vector, swap two columns, or lift one column
+    out of the others' space by an extra coordinate, so both verdicts
+    occur.
+    """
+    rng = random.Random(q)
+    f = gf.field(q)
+    geometry = ("pg", (3, q)) if q <= 3 else ("pg", (2, q))
+    for family, params, seed in [(*geometry, 0), ("linear_random", (3, 9, q), 0),
+                                 ("linear_random", (4, 9, q), 1)]:
+        m = catalog.gen(family, params, seed=seed)
+        simp, _ = m.simplify()
+        els = sorted(simp.elements())
+        true = {e: m.matrix.column(e) for e in els}
+        yield simp, f, true
+        for _ in range(4):
+            assign = dict(true)
+            e, g = rng.sample(els, 2)
+            kind = rng.randrange(4)
+            if kind == 0:
+                c = rng.randrange(1, q)
+                assign[e] = tuple(f.mul(c, a) for a in assign[e])
+            elif kind == 1:
+                assign[e] = tuple(rng.randrange(q) for _ in assign[e])
+            elif kind == 2:
+                assign[e], assign[g] = assign[g], assign[e]
+            else:
+                assign = {x: v + (int(x == e),) for x, v in assign.items()}
+            yield simp, f, assign
+
+
+def test_rank_functions_match_against_all_subsets():
+    verdicts = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for simp, f, assign in rank_match_corpus(q):
+            want = subsets_rank_match(simp, f, assign)
+            assert rep._rank_functions_match(simp, f, assign) == want, (q, assign)
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts

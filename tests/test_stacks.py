@@ -1,11 +1,12 @@
 """Stack verification, search, projection, skewing, and flat extraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from mdl import catalog, covers, gf, rep, stacks
-from mdl.bits import bits, mask_of
+from mdl.bits import bits, mask_of, submasks
 from mdl.core import LinearMatroid, UniformMatroid, direct_sum
 from mdl.covers import DensityParams
 from mdl.errors import PremiseError
@@ -387,3 +388,31 @@ def test_layered_construction_failure_paths():
     r_mask = 0  # no geometry at all: layers cannot base themselves in R
     out = stacks._layered_low_conn_flat(m, r_mask, tower_cert(2).parts, 2, 2)
     assert isinstance(out, stacks.FlatFailure)
+
+
+# -- the flat scan against a submask reference ---------------------------------
+
+
+def half_conn_subsets(m, r_mask, y):
+    """Reference: 2 * conn(X, Y) <= r(X) on every subset X of R."""
+    ry = m.rank(y)
+    return all(2 * (m.rank(x) + ry - m.rank(x | y)) <= m.rank(x) for x in submasks(r_mask))
+
+
+def test_half_conn_flat_scan_matches_submask_reference():
+    rng = random.Random(11)
+    corpus = [catalog.gen("pg", (4, 2)), catalog.gen("pg", (3, 3)),
+              direct_sum([catalog.gen("pg", (3, 2)), UniformMatroid(2, 4)]),
+              geometry_with_two_mixed_lines()[0]]
+    corpus += [catalog.gen("linear_random", (4, 12, q), seed=q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    verdicts = []
+    for m in corpus:
+        els = sorted(m.elements())
+        for _ in range(10):
+            rng.shuffle(els)
+            r_mask = mask_of(els[:rng.randint(1, 10)])
+            y = mask_of(e for e in els if rng.random() < 0.15)
+            want = half_conn_subsets(m, r_mask, y)
+            assert stacks._half_conn_holds(m, r_mask, y) == want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
