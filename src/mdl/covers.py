@@ -20,8 +20,11 @@ from .errors import CapExceeded, PremiseError, UniformMinorDetected
 
 INF = math.inf
 
-# honest desk-scale boundary for the exact cover search
+# honest desk-scale boundaries for the exact cover search: candidate
+# sets, and nodes the branch and bound expands (fixed; 20x and more above
+# the largest search in use, tau(pg(5,2), 2) at about 204,000 nodes)
 CANDIDATE_CAP = 5000
+COVER_NODE_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,29 @@ def _representative_universe(m: Matroid) -> int:
 def _min_cover(universe: int, cands: list[int], weights: list[int]):
     """Deterministic branch-and-bound exact weighted set cover.
 
-    Branches on the uncovered element hitting the fewest candidates;
-    candidates at a node are ordered by descending fresh coverage, then
-    ascending weight, then mask.  Pruned by a greedy upper bound and the
-    counting bound ceil(remaining / max set size) * min weight.
+    Each node branches on the uncovered element hitting the fewest
+    candidates, ties by element (one order, sorted once), and tries its
+    candidates by descending fresh coverage, then ascending weight, mask
+    and index.  With s the most universe elements in one candidate,
+    lb(k) = ceil(k / s) * min weight bounds from below the weight still
+    needed for k uncovered elements.  Pruning rules:
+
+    1. the greedy incumbent is returned at once when it meets the root
+       bound lb(|universe|);
+    2. a child whose weight plus lb of what it leaves uncovered reaches
+       the incumbent is neither entered nor recorded;
+    3. a node stops at the first option for which its own weight plus
+       the min weight plus lb of what that option leaves reaches the
+       incumbent: later options cover no more and weigh no less;
+    4. an incumbent meeting the root bound ends the search: a node with
+       k sets chosen weighs at least k min weights and has covered at
+       most k * s elements, so rule 3 stops every open node.
+
+    Each rule cuts only subtrees holding no cover strictly lighter than
+    the incumbent, and the branching order is that of the plain DFS, so
+    the incumbents come in the same sequence as in the plain DFS and the
+    certificate is the first optimum in DFS order.  Raises CapExceeded
+    once the search expands more than COVER_NODE_CAP nodes.
     """
     if universe == 0:
         return 0, []
@@ -95,50 +117,74 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
             by_elem[e].append(ci)
     if any(not lst for lst in by_elem.values()):
         return INF, None
-    max_size = max(c.bit_count() for c in cands)
+    max_size = max((c & universe).bit_count() for c in cands)
     min_weight = min(weights)
 
-    # greedy incumbent
+    # greedy incumbent: most fresh elements per weight (fresh * w' against
+    # fresh' * w in integers), then lightest, then smallest mask
     uncovered = universe
     greedy: list[int] = []
     greedy_w = 0
     while uncovered:
-        best = None
+        top_f, top_w, top_c, top_i = 0, 1, 0, -1
         for ci, c in enumerate(cands):
             fresh = (c & uncovered).bit_count()
-            if fresh == 0:
-                continue
-            key = (-Fraction(fresh, weights[ci]), weights[ci], cands[ci])
-            if best is None or key < best[0]:
-                best = (key, ci)
-        ci = best[1]
-        greedy.append(ci)
-        greedy_w += weights[ci]
-        uncovered &= ~cands[ci]
+            if fresh:
+                w = weights[ci]
+                gain = fresh * top_w - top_f * w
+                if gain > 0 or gain == 0 and (w, c) < (top_w, top_c):
+                    top_f, top_w, top_c, top_i = fresh, w, c, ci
+        greedy.append(top_i)
+        greedy_w += top_w
+        uncovered &= ~top_c
+
+    n = universe.bit_count()
+    lb = [-(-k // max_size) * min_weight for k in range(n + 1)]
+    if greedy_w <= lb[n]:
+        return greedy_w, greedy
+
+    # per element in branching order, its candidates sorted by (weight,
+    # mask), stable over index, as complement masks, weights and indices:
+    # a node's stable sort on what each leaves uncovered then gives the
+    # order (-fresh, weight, mask, index)
+    order = sorted(by_elem, key=lambda e: (len(by_elem[e]), e))
+    elem_bits = [1 << e for e in order]
+    options = []
+    for e in order:
+        cis = sorted(by_elem[e], key=lambda ci: (weights[ci], cands[ci]))
+        options.append(([~cands[ci] for ci in cis], [weights[ci] for ci in cis], cis))
 
     best_w = greedy_w
-    best_sel = list(greedy)
+    best_sel = greedy
+    chosen: list[int] = []
+    nodes = 0
 
-    def dfs(uncovered: int, cur_w: int, chosen: list[int]):
-        nonlocal best_w, best_sel
-        if uncovered == 0:
-            if cur_w < best_w:
-                best_w = cur_w
+    def dfs(uncovered: int, cur_w: int, i: int):
+        nonlocal best_w, best_sel, nodes
+        nodes += 1
+        if nodes > COVER_NODE_CAP:
+            raise CapExceeded(f"cover search exceeded its node budget {COVER_NODE_CAP}")
+        while not uncovered & elem_bits[i]:
+            i += 1
+        keeps, ws, cis = options[i]
+        rests = [(uncovered & k).bit_count() for k in keeps]
+        for r in sorted(range(len(rests)), key=rests.__getitem__):
+            rest = rests[r]
+            bound = lb[rest]
+            if cur_w + min_weight + bound >= best_w:
+                break
+            w = cur_w + ws[r]
+            if w + bound >= best_w:
+                continue
+            chosen.append(cis[r])
+            if rest:
+                dfs(uncovered & keeps[r], w, i + 1)
+            else:
+                best_w = w
                 best_sel = list(chosen)
-            return
-        lb = -(-uncovered.bit_count() // max_size) * min_weight
-        if cur_w + lb >= best_w:
-            return
-        e = min(bits(uncovered), key=lambda e: (len(by_elem[e]), e))
-        options = sorted(
-            by_elem[e],
-            key=lambda ci: (-(cands[ci] & uncovered).bit_count(), weights[ci], cands[ci]))
-        for ci in options:
-            chosen.append(ci)
-            dfs(uncovered & ~cands[ci], cur_w + weights[ci], chosen)
             chosen.pop()
 
-    dfs(universe, 0, [])
+    dfs(universe, 0, 0)
     return best_w, best_sel
 
 

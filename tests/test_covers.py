@@ -2,11 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from mdl import catalog, covers, gf
 from mdl.bits import bits, ksubsets, mask_of, submasks
+from mdl.cli import main
 from mdl.core import LinearMatroid, UniformMatroid, direct_sum
 from mdl.errors import CapExceeded, UniformMinorDetected
 
@@ -302,3 +304,129 @@ def test_candidate_cap():
     m = UniformMatroid(3, 110)
     with pytest.raises(CapExceeded):
         covers.tau(m, 2)
+
+
+# -- the branch and bound against the plain DFS it replaced ----------------------
+
+
+def reference_min_cover(universe: int, cands: list[int], weights: list[int]):
+    """The plain branch and bound, kept verbatim as the reference: it
+    re-picks the branching element and re-sorts the options with a
+    three-part key at every node, and enters every child."""
+    if universe == 0:
+        return 0, []
+    by_elem: dict[int, list[int]] = {e: [] for e in bits(universe)}
+    for ci, c in enumerate(cands):
+        for e in bits(c & universe):
+            by_elem[e].append(ci)
+    if any(not lst for lst in by_elem.values()):
+        return INF, None
+    max_size = max(c.bit_count() for c in cands)
+    min_weight = min(weights)
+
+    # greedy incumbent
+    uncovered = universe
+    greedy: list[int] = []
+    greedy_w = 0
+    while uncovered:
+        best = None
+        for ci, c in enumerate(cands):
+            fresh = (c & uncovered).bit_count()
+            if fresh == 0:
+                continue
+            key = (-Fraction(fresh, weights[ci]), weights[ci], cands[ci])
+            if best is None or key < best[0]:
+                best = (key, ci)
+        ci = best[1]
+        greedy.append(ci)
+        greedy_w += weights[ci]
+        uncovered &= ~cands[ci]
+
+    best_w = greedy_w
+    best_sel = list(greedy)
+
+    def dfs(uncovered: int, cur_w: int, chosen: list[int]):
+        nonlocal best_w, best_sel
+        if uncovered == 0:
+            if cur_w < best_w:
+                best_w = cur_w
+                best_sel = list(chosen)
+            return
+        lb = -(-uncovered.bit_count() // max_size) * min_weight
+        if cur_w + lb >= best_w:
+            return
+        e = min(bits(uncovered), key=lambda e: (len(by_elem[e]), e))
+        options = sorted(
+            by_elem[e],
+            key=lambda ci: (-(cands[ci] & uncovered).bit_count(), weights[ci], cands[ci]))
+        for ci in options:
+            chosen.append(ci)
+            dfs(uncovered & ~cands[ci], cur_w + weights[ci], chosen)
+            chosen.pop()
+
+    dfs(universe, 0, [])
+    return best_w, best_sel
+
+
+def random_cover_instance(rng, weighted):
+    """Dense or sparse (one to four elements, like lines and planes)
+    candidates; they may reach outside the universe and repeat."""
+    n = rng.randint(1, 18)
+    universe = (1 << n) - 1
+    if rng.random() < 0.3:
+        universe &= ~(1 << rng.randrange(n))
+    if rng.random() < 0.5:
+        cands = [rng.getrandbits(n + 1) for _ in range(rng.randint(1, 30))]
+    else:
+        cands = [mask_of(rng.sample(range(n + 2), rng.randint(1, min(4, n + 2))))
+                 for _ in range(rng.randint(1, 36))]
+    cands = [c | 1 << rng.randrange(n) for c in cands]
+    if rng.random() < 0.3:
+        cands += [rng.choice(cands) for _ in range(3)]
+    if weighted:
+        weights = [rng.choice((1, 2, 3, 4, 9, 27)) for _ in cands]
+    else:
+        weights = [1] * len(cands)
+    return universe, cands, weights
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_min_cover_matches_reference(weighted):
+    rng = random.Random(f"min_cover:{weighted}")
+    for _ in range(1000):
+        universe, cands, weights = random_cover_instance(rng, weighted)
+        assert covers._min_cover(universe, cands, weights) == \
+            reference_min_cover(universe, cands, weights), (universe, cands, weights)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_tau_matches_reference_on_linear_corpus(q, monkeypatch):
+    corpus = [catalog.gen("linear_random", (4, 9 + q % 4, q), seed=s) for s in range(3)]
+    got = [(covers.tau(m, 2), covers.tau_weighted(m, 3)) for m in corpus]
+    monkeypatch.setattr(covers, "_min_cover", reference_min_cover)
+    want = [(covers.tau(m, 2), covers.tau_weighted(m, 3)) for m in corpus]
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert (a.value, a.cover.sets) == (b.value, b.cover.sets)
+
+
+def test_tau_pg52_golden():
+    # PG(4,2): the root bound ceil(31/3) = 11 is met only deep in the search
+    res = covers.tau(catalog.gen("pg", (5, 2)), 2)
+    assert res.value == 11
+    assert list(res.cover.sets) == [
+        7, 2184, 9232, 655392, 2162752, 9441280, 16810240, 100663297,
+        134496256, 272630272, 1610612737]
+
+
+def test_cover_node_cap(tmp_path, monkeypatch, capsys):
+    # its greedy cover misses the root bound, so the search expands nodes
+    m = catalog.gen("linear_random", (5, 18, 2), seed=1)
+    f = str(tmp_path / "m.mtd")
+    catalog.write_matroid(m, f)
+    assert covers.tau(m, 2).value == 6
+    monkeypatch.setattr(covers, "COVER_NODE_CAP", 20)
+    with pytest.raises(CapExceeded):
+        covers.tau(m, 2)
+    assert main(["tau", f, "--a", "2"]) == 2
+    assert "node budget" in capsys.readouterr().err
