@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / property holds, 1 verdict negative or property
 violated (counterexamples are dumped as replayable .mtd files), 2 usage
-or cap errors.  Every subcommand takes --json for a machine-readable
-mirror of the same content.
+or cap errors, 3 internal error (an unexpected exception, never a
+verdict).  Every subcommand takes --json for a machine-readable mirror
+of the same content.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import reduce as reductions
 from .bits import indices_of, mask_of
 from .errors import CapExceeded, PremiseError
 
-OK, FAIL, USAGE = 0, 1, 2
+OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _emit(args, pairs: dict, blocks: list[str] | None = None) -> None:
@@ -302,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceeded, PremiseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:  # a bug, which must not read as a verdict
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -28,7 +28,9 @@ class Matroid:
     """Base class: a ground mask plus a memoized rank oracle.
 
     Subclasses implement ``_rank_impl`` on subsets of ``ground`` and may
-    override ``closure`` with something faster than the generic scan.
+    override ``closure`` and ``_classes`` (the step ``flats_of_rank``
+    takes from a flat to the flats covering it) with something faster
+    than the generic scans.
     """
 
     kind = "abstract"
@@ -80,6 +82,19 @@ class Matroid:
                 cl |= 1 << e
         return cl
 
+    def _classes(self, x: int, mask: int) -> list[int]:
+        """Group the elements e of mask, none in cl(x), by cl(x + e).
+
+        The groups come as masks, in the order of their least elements.
+        This default takes one closure per group.
+        """
+        out = []
+        while mask:
+            g = self.closure(x | (mask & -mask)) & mask
+            out.append(g)
+            mask &= ~g
+        return out
+
     def loops(self) -> int:
         return self.closure(0)
 
@@ -100,12 +115,8 @@ class Matroid:
         while len(levels) <= k:
             nxt: set[int] = set()
             for f in levels[-1]:
-                rest = self.ground & ~f
-                for e in bits(rest):
-                    g = self.closure(f | (1 << e))
-                    nxt.add(g)
-                    # every element of g - f extends f to the same flat
-                    rest &= ~g
+                # each flat covering f is f plus one class of the rest
+                nxt.update(f | c for c in self._classes(f, self.ground & ~f))
             levels.append(sorted(nxt))
         return list(levels[k])
 
@@ -225,6 +236,11 @@ class LinearMatroid(Matroid):
         f, vecs = self.field, self._vecs
         return x | gf.spanned(f, gf.echelon(f, vecs, x), vecs, self.ground & ~x)
 
+    def _classes(self, x: int, mask: int) -> list[int]:
+        """One elimination of x, then each column of mask reduced once."""
+        f, vecs = self.field, self._vecs
+        return gf.classes(f, gf.echelon(f, vecs, x), vecs, mask)
+
 
 class MinorMatroid(Matroid):
     """View M / contract \\ delete with the parent's element indexing.
@@ -261,6 +277,9 @@ class MinorMatroid(Matroid):
 
     def closure(self, x: int) -> int:
         return self.base.closure(x | self.contracted) & self.ground
+
+    def _classes(self, x: int, mask: int) -> list[int]:
+        return self.base._classes(x | self.contracted, mask)
 
 
 class DirectSumMatroid(Matroid):
@@ -305,11 +324,6 @@ class DirectSumMatroid(Matroid):
                     out |= 1 << g
                 g += 1
         return out
-
-    def part_mask(self, pi: int) -> int:
-        """Global mask of part pi's elements."""
-        size = self.parts[pi].size()
-        return ((1 << size) - 1) << self._offsets[pi]
 
     def _rank_impl(self, x: int) -> int:
         return sum(part.rank(lm) for part, lm in zip(self.parts, self._split(x)))

@@ -17,9 +17,11 @@ just the integer mod p; in every case the integers 0..p-1 form the prime
 subfield.
 
 Gaussian elimination lives here and nowhere else: `vector` encodes a
-column, `echelon` reduces the columns of a subset to pivots, and
-`spanned` tests further columns against them.  Linear matroid ranks and
-closures and the representability search's span checks all use them.
+column, `echelon` reduces the columns of a subset to pivots, `spanned`
+tests further columns against them, and `classes` groups further
+columns by the span they add to the pivots; the last two share one
+reduction step, `_residuals`.  Linear matroid ranks, closures and
+flats and the representability search's span checks all use them.
 """
 
 from __future__ import annotations
@@ -213,14 +215,47 @@ def vector(f: FiniteField, coords: Sequence[int]):
     return tuple(coords)
 
 
+def _residuals(f: FiniteField, pivots: list, vecs, mask: int):
+    """Yield (bit, w) for each e of mask: vecs[e] minus its pivot components.
+
+    This is the reduction step of `echelon`, against a finished basis.
+    w is zero at every pivot's lead, so it is the one such vector that
+    differs from vecs[e] by an element of the pivots' span; it is zero
+    exactly when vecs[e] lies in that span.  Over GF(q) w is a list.
+    """
+    if f.q == 2:
+        while mask:
+            low = mask & -mask
+            v = vecs[low.bit_length() - 1]
+            mask ^= low
+            for p in pivots:
+                if v & (p & -p):
+                    v ^= p
+            yield low, v
+        return
+    add_t, mul_t = f.add_table, f.mul_table
+    while mask:
+        low = mask & -mask
+        w = list(vecs[low.bit_length() - 1])
+        mask ^= low
+        for lead, nz in pivots:
+            c = w[lead]
+            if c:
+                row = mul_t[c]
+                for i, p in nz:
+                    w[i] = add_t[w[i]][row[p]]
+        yield low, w
+
+
 def echelon(f: FiniteField, vecs, mask: int) -> list:
     """Echelon basis of vecs[e] for e in mask (vecs holds `vector`s).
 
     len() of the result is the rank of those vectors; pass it to
-    `spanned`.  Over GF(2) a pivot is an int whose lowest set bit is its
-    lead; no pivot has the lead of an earlier one.  Over GF(q) a pivot
-    is (lead, [(i, -a_i) for each nonzero a_i]) where a is the reduced
-    vector scaled to a_lead = 1, zero at every earlier pivot's lead.
+    `spanned` or `classes`.  Over GF(2) a pivot is an int whose lowest
+    set bit is its lead; no pivot has the lead of an earlier one.  Over
+    GF(q) a pivot is (lead, [(i, -a_i) for each nonzero a_i]) where a is
+    the reduced vector scaled to a_lead = 1, zero at every earlier
+    pivot's lead.
     """
     pivots: list = []
     if f.q == 2:
@@ -260,31 +295,32 @@ def echelon(f: FiniteField, vecs, mask: int) -> list:
 def spanned(f: FiniteField, pivots: list, vecs, mask: int) -> int:
     """The elements e of mask whose vecs[e] lies in the span of pivots."""
     out = 0
-    if f.q == 2:
-        while mask:
-            low = mask & -mask
-            v = vecs[low.bit_length() - 1]
-            mask ^= low
-            for p in pivots:
-                if v & (p & -p):
-                    v ^= p
-            if not v:
-                out |= low
-        return out
-    add_t, mul_t = f.add_table, f.mul_table
-    while mask:
-        low = mask & -mask
-        w = list(vecs[low.bit_length() - 1])
-        mask ^= low
-        for lead, nz in pivots:
-            c = w[lead]
-            if c:
-                row = mul_t[c]
-                for i, p in nz:
-                    w[i] = add_t[w[i]][row[p]]
-        if not any(w):
+    binary = f.q == 2
+    for low, w in _residuals(f, pivots, vecs, mask):
+        if not (w if binary else any(w)):
             out |= low
     return out
+
+
+def classes(f: FiniteField, pivots: list, vecs, mask: int) -> list[int]:
+    """Group the elements of mask by the span of pivots plus their vector.
+
+    No vecs[e] of mask may lie in the span of pivots.  Two elements share
+    a group exactly when their residuals (`_residuals`) are multiples of
+    each other, so a residual scaled to a leading 1 names its group.
+    The groups come as masks, in the order of their least elements.
+    """
+    groups: dict = {}
+    binary, mul_t, inv_t = f.q == 2, f.mul_table, f.inv_table
+    for low, w in _residuals(f, pivots, vecs, mask):
+        if not binary:
+            for c in w:
+                if c:
+                    break
+            row = mul_t[inv_t[c]]
+            w = tuple([row[x] for x in w])
+        groups[w] = groups.get(w, 0) | low
+    return list(groups.values())
 
 
 def rank_of_vectors(f: FiniteField, vectors: Iterable[Sequence[int]]) -> int:

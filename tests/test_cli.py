@@ -169,6 +169,20 @@ def test_cap_override_only_raises(tmp_path, capsys, monkeypatch):
     assert code == 0 and "stack q=2 t=2" in out
 
 
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    from mdl import cli
+
+    def boom(args):
+        raise RuntimeError("unexpected\nstate")
+
+    f = str(tmp_path / "u24.mtd")
+    run(capsys, "gen", "uniform", "2", "4", "-o", f)
+    monkeypatch.setattr(cli, "cmd_tau", boom)
+    code, out, err = run(capsys, "tau", f, "--a", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1, err
+
+
 def test_round_extract(tmp_path, capsys):
     f = str(tmp_path / "comp.mtd")
     p = tmp_path / "comp.mtd"

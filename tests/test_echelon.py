@@ -13,7 +13,7 @@ import random
 import pytest
 
 from mdl import catalog, gf
-from mdl.bits import bits
+from mdl.bits import bits, mask_of
 from mdl.core import LinearMatroid, Matroid
 
 QS = [2, 3, 4, 5, 7, 8, 9]
@@ -93,6 +93,87 @@ def test_kernel_matches_span_reference(q):
             assert gf.spanned(f, pivots, vecs, lin.ground) == cl
         for k in range(lin.rank() + 2):
             assert lin.flats_of_rank(k) == ref.flats_of_rank(k), (q, k)
+
+
+def minors(m, rng):
+    """A single contraction, a single deletion and a contract-then-delete
+    minor on seeded element sets, each as a function of the matroid."""
+    live = list(bits(m.ground))
+    c = mask_of(rng.sample(live, rng.randint(1, 2)))
+    d = mask_of(rng.sample([e for e in live if not c >> e & 1], rng.randint(1, 2)))
+    return [lambda n: n.contract(c), lambda n: n.delete(d),
+            lambda n: n.contract(c).delete(d)]
+
+
+def flats_by_extension(m, k):
+    """Rank-k flats as closures of every single-element extension of every
+    rank-(k-1) flat, closures taken from rank queries alone."""
+
+    def cl(x):
+        r = m.rank(x)
+        return x | sum(1 << e for e in bits(m.ground & ~x) if m.rank(x | 1 << e) == r)
+
+    level = {cl(0)}
+    for _ in range(k):
+        level = {cl(f | 1 << e) for f in level for e in bits(m.ground & ~f)}
+    return sorted(level)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_minor_flats_match_span_reference(q):
+    rng = random.Random(2024 + q)
+    for lin in corpus(q):
+        ref = SpanMatroid(lin.field, lin.matrix.rows, lin.matrix.columns())
+        for i, minor in enumerate(minors(lin, rng)):
+            lm, rm = minor(lin), minor(ref)
+            assert lm.ground == rm.ground
+            for k in range(lm.rank() + 2):
+                flats = rm.flats_of_rank(k)
+                assert lm.flats_of_rank(k) == flats, (q, i, k)
+                if k <= lm.rank():
+                    assert flats == flats_by_extension(rm, k), (q, i, k)
+
+
+def grouped_by_closure(m, x, mask):
+    """The elements e of mask grouped by m.closure(x + e), least first."""
+    groups = {}
+    for e in bits(mask):
+        key = m.closure(x | 1 << e)
+        groups[key] = groups.get(key, 0) | 1 << e
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("q", QS)
+def test_classes_match_closure_grouping(q):
+    rng = random.Random(4096 + q)
+    for lin in corpus(q):
+        f, cols = lin.field, lin.matrix.columns()
+        vecs = [gf.vector(f, c) for c in cols]
+        ref = SpanMatroid(f, lin.matrix.rows, cols)
+        for _ in range(30):
+            x = rng.getrandbits(lin.n) & rng.getrandbits(lin.n)
+            outside = lin.ground & ~ref.closure(x)
+            for mask in (outside, outside & rng.getrandbits(lin.n)):
+                expected = grouped_by_closure(ref, x, mask)
+                assert gf.classes(f, gf.echelon(f, vecs, x), vecs, mask) == expected
+                assert lin._classes(x, mask) == expected
+
+
+def gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of GF(q)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("n, q, k, count", [
+    (4, 4, 2, 357), (4, 4, 3, 85), (5, 3, 3, 1210), (3, 9, 2, 91)])
+def test_geometry_flat_counts(n, q, k, count):
+    """Rank-k flats of PG(n-1, q) are the k-dimensional subspaces of GF(q)^n."""
+    assert gaussian_binomial(n, k, q) == count
+    assert len(catalog.gen("pg", (n, q)).flats_of_rank(k)) == count
 
 
 def test_vector_encoding():
