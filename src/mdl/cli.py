@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog, covers, harness, rep, stacks
+from . import catalog, covers, gf, harness, rep, stacks
 from . import reduce as reductions
 from .bits import indices_of, mask_of
 from .errors import CapExceeded, PremiseError
@@ -48,6 +48,24 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {v}")
         return v
     return parse
+
+
+def _field_order(text: str) -> int:
+    """argparse type: a field order that gf.field accepts."""
+    try:
+        q = int(text)
+        gf.field(q)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return q
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type: an exact rational such as 7/32."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
 def _cover_block(m, cover) -> str:
@@ -107,8 +125,7 @@ def cmd_round(args) -> int:
         info["violating_a"] = indices_of(pair[0])
         info["violating_b"] = indices_of(pair[1])
     if args.extract:
-        alpha = Fraction(args.alpha)
-        n = reductions.weakly_round_restriction(m, args.a, args.q, alpha)
+        n = reductions.weakly_round_restriction(m, args.a, args.q, args.alpha)
         info["restriction"] = indices_of(n.ground)
         info["restriction_rank"] = n.rank()
         _emit(args, info)
@@ -247,27 +264,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extract", action="store_true")
     p.add_argument("--a", type=_at_least(0), default=1)
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--alpha", default="1", help="exact rational like 7/32")
+    p.add_argument("--alpha", type=_rational, default="1", help="exact rational like 7/32")
     add_json(p)
     p.set_defaults(func=cmd_round)
 
     p = sub.add_parser("rep", help="GF(q)-representability verdict")
     p.add_argument("file")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_order, required=True)
     add_json(p)
     p.set_defaults(func=cmd_rep)
 
     p = sub.add_parser("pg", help="projective geometry recognition")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_order, required=True)
     add_json(p)
     p.set_defaults(func=cmd_pg)
 
     p = sub.add_parser("stack", help="verify or find stack certificates")
     p.add_argument("action", choices=["verify", "find"])
     p.add_argument("file")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_order, required=True)
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--parts", help="pipe separated element lists: 0,1|2,3")

@@ -229,7 +229,6 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
         return CoverResult(1, Cover((m.ground,), m))
     cands: list[int] = []
     weights: list[int] = []
-    n_points: dict[int, int] = {}
     for k in range(0, r + 1):
         w = d ** k
         for f in m.flats_of_rank(k):
@@ -244,7 +243,6 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
                 continue
             cands.append(f)
             weights.append(w)
-            n_points[f] = p
     if len(cands) > CANDIDATE_CAP:
         raise CapExceeded(
             f"tau_weighted: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")

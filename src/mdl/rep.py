@@ -215,6 +215,7 @@ def is_pg(m: Matroid, n: int, q: int) -> bool:
     (q^n - 1)/(q - 1) points, with equality exactly for the full
     geometry, so point count plus representability decides isomorphism.
     """
+    gf.field(q)  # refuses a q that is not a field order
     if m.rank() != n:
         return False
     if m.epsilon() != (q ** n - 1) // (q - 1):

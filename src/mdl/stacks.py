@@ -407,8 +407,10 @@ def check_no_stack_in_projection(m: Matroid, x: int, q: int, h: int,
     """Premise-checked search: M \\ X a projective geometry (up to
     simplification), r(X) <= h; then M/X must carry no (q,h+1)-stack.
 
-    Runs find_stack for each t up to t_max; "no stack" is relative to
-    the flat candidate universe and the bounded t range.
+    "No stack" is relative to the flat candidate universe and the
+    bounded t range.  Every (q,h+1,t)-stack is a (q,h+1,t_max)-stack and
+    find_stack's None is exhaustive, so one search at t_max answers
+    every t unless it finds a stack; only then are the smaller t searched.
     """
     if m.rank(x) > h:
         raise PremiseError(f"rank of X is {m.rank(x)} > h = {h}")
@@ -416,8 +418,11 @@ def check_no_stack_in_projection(m: Matroid, x: int, q: int, h: int,
         raise PremiseError("M \\ X does not simplify to the projective geometry")
     mx = m.contract(x)
     results: dict[int, StackCert | None] = {}
-    for t in range(2, t_max + 1):
-        results[t] = find_stack(mx, q, h + 1, t)
+    if t_max >= 2:
+        top = find_stack(mx, q, h + 1, t_max)
+        for t in range(2, t_max):
+            results[t] = None if top is None else find_stack(mx, q, h + 1, t)
+        results[t_max] = top
     return NoStackReport(h, results)
 
 
@@ -426,14 +431,6 @@ class FlatResult:
     minor: Matroid
     pg_restriction: int
     flat: int
-
-
-@dataclass(frozen=True)
-class FlatFailure:
-    reason: str
-
-    def __bool__(self):
-        return False
 
 
 def _half_conn_holds(m: Matroid, r_mask: int, y: int) -> bool:
@@ -451,48 +448,27 @@ def _half_conn_holds(m: Matroid, r_mask: int, y: int) -> bool:
     return True
 
 
-def _constrained_stack(m1: Matroid, r_mask: int, q: int, k: int):
-    """Deepest (q,j,k)-stack of m1, j <= k, whose layers have bases in R."""
-    budget = [cap_override(LAYER_BUDGET)]
+def find_low_conn_flat(m: Matroid, r_mask: int, cert: StackCert, k: int) -> FlatResult:
+    """Produce (M, R, K): a rank-k flat K at most half-connected to every
+    subset of the geometry restriction R.
 
-    def recurse(cur: Matroid, chosen: list[int], depth: int):
-        best = tuple(chosen)
-        if depth == k:
-            return best
-        for kk in range(2, k + 1):
-            for fl in cur.flats_of_rank(kk):
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise CapExceeded("constrained stack search budget exhausted")
-                if cur.rank(fl & r_mask) != kk:
-                    continue
-                if rep.is_representable(cur.restrict(fl), q).representable:
-                    continue
-                chosen.append(fl)
-                deeper = recurse(cur.contract(fl), chosen, depth + 1)
-                chosen.pop()
-                if len(deeper) > len(best):
-                    best = deeper
-                if len(best) == k:
-                    return best
-        return best
+    Grows a maximal J with the half-connectivity property, scanning the
+    elements outside R in order, and answers with a rank-k subflat of
+    cl(J), re-verified over the flats of M|R.  Once the premises hold,
+    r(J) >= k always:
 
-    return recurse(m1, [], 0)
-
-
-def find_low_conn_flat(m: Matroid, r_mask: int, cert: StackCert,
-                       k: int) -> FlatResult | FlatFailure:
-    """Produce (M', R', K): a minor with a spanning geometry restriction
-    and a rank-k flat at most half-connected to every subset of it.
-
-    First grows a maximal J with the half-connectivity property; if its
-    rank reaches k, a rank-k subflat of cl(J) answers directly.
-    Otherwise the layered construction over a deepest R-based stack of
-    M/J is attempted; hypotheses that cannot be established are reported
-    as an explicit failure.  Any success is re-verified exactly over
-    the flats of the returned geometry.
+    - Every element lies in J or in cl(J u R).  For e outside cl(J u R),
+      conn(X, J + e) = conn(X, J) for every X inside R, so e passed the
+      test when it was scanned.  Hence r(M) <= r(J) + r(R).
+    - k = 1.  If r(J) = 0, a nonloop e outside R and parallel to no
+      point of R has conn(X, {e}) = 1 only when e lies in cl(X), so only
+      for r(X) >= 2, and e would have joined J.  So every nonloop
+      outside R is parallel to a point of R, si(M) = PG(n-1, q) is
+      GF(q)-representable, and the certificate was refused.
+    - k = 2.  The 16 layers of rank >= 2 give r(M) >= 32, so r(J) <= 1
+      needs r(R) >= 31: at least 2^31 - 1 points, beyond core.MAX_GROUND.
+    - k >= 3.  81 layers need r(M) >= 162 > core.MAX_GROUND.
     """
-    q = cert.q
     if k < 0:
         raise ValueError("need k >= 0")
     check = verify_stack(m, cert)
@@ -502,7 +478,7 @@ def find_low_conn_flat(m: Matroid, r_mask: int, cert: StackCert,
         raise PremiseError(f"need a stack of k^4 = {k ** 4} layers, have {cert.height}")
     # R need not span M; the half-connectivity postcondition is what
     # gets verified on success
-    if not rep.is_pg(m.restrict(r_mask), m.rank(r_mask), q):
+    if not rep.is_pg(m.restrict(r_mask), m.rank(r_mask), cert.q):
         raise PremiseError("R is not a projective geometry restriction")
     if k == 0:
         return FlatResult(m, r_mask, m.closure(0))
@@ -512,79 +488,15 @@ def find_low_conn_flat(m: Matroid, r_mask: int, cert: StackCert,
         be = 1 << e
         if _half_conn_holds(m, r_mask, j | be):
             j |= be
-    if m.rank(j) >= k:
-        bj = m.basis_of(j)
-        kb = 0
-        for e in bits(bj):
-            kb |= 1 << e
-            if kb.bit_count() == k:
-                break
-        flat = m.closure(kb)
-        if not _half_conn_holds(m, r_mask, flat):
-            raise RuntimeError("grown flat failed the half-connectivity re-check")
-        return FlatResult(m, r_mask, flat)
+    if m.rank(j) < k:
+        raise RuntimeError(f"grown J has rank {m.rank(j)} < k = {k} although the premises hold")
+    kb = 0
+    for e in bits(m.basis_of(j)):
+        kb |= 1 << e
+        if kb.bit_count() == k:
+            break
+    flat = m.closure(kb)
+    if not _half_conn_holds(m, r_mask, flat):
+        raise RuntimeError("grown flat failed the half-connectivity re-check")
+    return FlatResult(m, r_mask, flat)
 
-    m1 = m.contract(j)
-    parts = _constrained_stack(m1, r_mask, q, k)
-    if len(parts) < k:
-        return FlatFailure(
-            f"maximal stack with layer bases inside R has {len(parts)} < k = {k} "
-            "layers; deriving the contradiction needs the full asymptotic premise")
-    return _layered_low_conn_flat(m1, r_mask, parts, q, k)
-
-
-def _layered_low_conn_flat(m1: Matroid, r_mask: int, parts: tuple[int, ...],
-                           q: int, k: int) -> FlatResult | FlatFailure:
-    """Layered construction: one fresh non-parallel element per layer.
-
-    Walks the k layers bottom-up, picking from each a nonloop of the
-    contracted layer that is not parallel to a nonloop of the remaining
-    geometry; the union is independent, and its closure is the flat.
-    """
-    rm = m1.restrict(r_mask)
-    bases = []
-    cur = m1
-    for f in parts:
-        lb = cur.basis_of(f & r_mask)
-        if cur.rank(lb) != cur.rank(f):
-            return FlatFailure("a layer lost its basis inside R after contraction")
-        bases.append(lb)
-        cur = cur.contract(f)
-    prefixes = [0]
-    for f in parts:
-        prefixes.append(prefixes[-1] | f)
-    kmask = 0
-    for i in range(k - 1, -1, -1):
-        mi = m1.contract(prefixes[i]) if prefixes[i] else m1
-        # remaining geometry: closures of the layer bases not yet contracted
-        tail = 0
-        for bmask in bases[i:]:
-            tail |= bmask
-        r_i = rm.closure(tail) if tail else rm.closure(0)
-        r_i_nonloops = [fe for fe in bits(r_i) if mi.rank(1 << fe) == 1]
-        pick = None
-        for e in bits(parts[i]):
-            be = 1 << e
-            if mi.rank(be) != 1:
-                continue
-            if all(mi.rank(be | (1 << fe)) == 2 for fe in r_i_nonloops):
-                pick = e
-                break
-        if pick is None:
-            return FlatFailure(
-                f"layer {i + 1} has no nonloop avoiding parallelism with R_i")
-        kmask |= 1 << pick
-        if mi.rank(kmask) != kmask.bit_count():
-            return FlatFailure("chosen elements failed independence")
-    all_bases = 0
-    for bm in bases:
-        all_bases |= bm
-    r0 = rm.closure(all_bases)
-    if m1.rank(r0) != m1.rank() or not rep.is_pg(m1.restrict(r0), m1.rank(), q):
-        return FlatFailure("R_0 is not a spanning geometry of the contracted minor")
-    flat = m1.closure(kmask)
-    if m1.rank(flat) != k:
-        return FlatFailure(f"constructed flat has rank {m1.rank(flat)} != k")
-    if not _half_conn_holds(m1, r0, flat):
-        return FlatFailure("constructed flat failed the half-connectivity check")
-    return FlatResult(m1, r0, flat)

@@ -154,6 +154,17 @@ def test_usage_errors(tmp_path, capsys):
     for trials in ("-3", "0"):
         code, out, _ = run(capsys, "verify", "lem10", "--trials", trials)
         assert code == 2 and "passed=" not in out
+    # a --q that is not a field order is refused, not answered
+    fano = str(tmp_path / "fano.mtd")
+    run(capsys, "gen", "pg", "3", "2", "-o", fano)
+    for argv in (("stack", "find", fano, "--q", "6", "--h", "2", "--t", "2"),
+                 ("stack", "verify", fano, "--q", "6", "--t", "2", "--parts", "0|1"),
+                 ("pg", fano, "--n", "3", "--q", "6"),
+                 ("pg", fano, "--n", "3", "--q", "1"),
+                 ("rep", fano, "--q", "6"),
+                 ("rep", fano, "--q", "x")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--q" in err, (argv, err)
 
 
 def test_cap_override_only_raises(tmp_path, capsys, monkeypatch):
@@ -194,6 +205,14 @@ def test_round_extract(tmp_path, capsys):
                        "--alpha", "13/32")
     assert code == 0
     assert "restriction_rank=" in out
+
+
+def test_round_extract_rejects_bad_alpha(tmp_path, capsys):
+    f = str(tmp_path / "fano.mtd")
+    run(capsys, "gen", "pg", "3", "2", "-o", f)
+    for alpha in ("1/0", "x", "1//2"):
+        code, out, err = run(capsys, "round", f, "--extract", "--alpha", alpha)
+        assert code == 2 and out == "" and "--alpha" in err, (alpha, err)
 
 
 def test_verify_dumps_counterexample(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,84 @@
+"""Fuzzed argument vectors: every exit is 0, 1 or 2, never an internal error."""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mdl import catalog
+from mdl.cli import main
+from mdl.core import UniformMatroid
+
+FIXTURES = {
+    "fano": lambda: catalog.gen("pg", (3, 2)),
+    "u24": lambda: UniformMatroid(2, 4),
+    "pg33_contracted": lambda: catalog.gen("pg", (3, 3)).contract(1),
+    "tower": lambda: catalog.gen("u24_tower", (2,)),
+    "empty": lambda: UniformMatroid(0, 0),
+    "loops": lambda: UniformMatroid(0, 3),
+}
+
+# options per subcommand; the verify suites are left out, they are slow by design
+COMMANDS = {
+    "tau": ["--a"],
+    "tauw": ["--d"],
+    "round": ["--a", "--q", "--alpha"],
+    "rep": ["--q"],
+    "pg": ["--n", "--q"],
+    "stack find": ["--q", "--h", "--t"],
+    "stack verify": ["--q", "--t", "--parts"],
+    "cover thm4": ["--a", "--b"],
+    "conn": ["--x", "--y"],
+}
+
+ints = st.one_of(st.integers(-2, 5), st.integers(-2, 33)).map(str)
+rationals = st.sampled_from(["1/0", "2/0", "0", "1/2", "-3/4", "13/32", "1//2"])
+junk = st.sampled_from(["", "x", "-", "1.5", "1e3", "nan", "|", "--json"])
+element_list = st.lists(st.integers(-2, 13), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+parts = st.lists(element_list, min_size=1, max_size=3).map("|".join)
+TYPED = {"--alpha": rationals, "--x": element_list, "--y": element_list, "--parts": parts}
+anything = st.one_of(ints, rationals, junk, element_list, parts)
+
+
+@st.composite
+def argv(draw, files):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    out = command.split() + [draw(st.sampled_from(files))]
+    for opt in COMMANDS[command]:
+        if draw(st.integers(0, 9)):  # now and then leave a required option out
+            out += [opt, draw(st.one_of(TYPED.get(opt, ints), anything))]
+    if command == "round" and draw(st.booleans()):
+        out.append("--extract")
+    if draw(st.booleans()):
+        out.append("--json")
+    return out
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, make in FIXTURES.items():
+        path = str(d / f"{name}.mtd")
+        catalog.write_matroid(make(), path, name=name)
+        paths.append(path)
+    return paths
+
+
+def test_cli_exit_codes_under_fuzz(files):
+    fano = files[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(argv(files))
+    @example(["round", fano, "--extract", "--alpha", "1/0"])
+    @example(["pg", fano, "--n", "3", "--q", "1"])
+    def check(args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 1, 2), (args, code, err.getvalue())
+        assert "internal error" not in err.getvalue(), (args, err.getvalue())
+
+    check()

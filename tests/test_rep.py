@@ -149,6 +149,14 @@ def test_is_pg_examples():
     assert not rep.is_pg(UniformMatroid(3, 7), 3, 2)
 
 
+def test_is_pg_refuses_non_field_orders():
+    # q = 1 used to reach the point-count formula and divide by zero
+    fano = catalog.gen("pg", (3, 2))
+    for q in (1, 6, 0, -2):
+        with pytest.raises(ValueError, match="prime power"):
+            rep.is_pg(fano, 3, q)
+
+
 def test_is_pg_embedded_geometry():
     # PG(3,2) points read over GF(4) is still the binary geometry
     m = catalog.gen("pg_plus_noise", (4, 2, 4, 0))

@@ -7,9 +7,9 @@ import pytest
 
 from mdl import catalog, covers, gf, rep, stacks
 from mdl.bits import bits, mask_of, submasks
-from mdl.core import LinearMatroid, UniformMatroid, direct_sum
+from mdl.core import LinearMatroid, UniformMatroid, direct_sum, parallel_extension
 from mdl.covers import DensityParams
-from mdl.errors import PremiseError
+from mdl.errors import CapExceeded, PremiseError
 
 
 def tower_cert(h):
@@ -98,6 +98,24 @@ def test_find_stack_none_on_representable():
 def test_find_stack_rank_too_low():
     m = catalog.gen("u24_tower", (1,))
     assert stacks.find_stack(m, 2, 2, 2) is None  # rank 2 < 2h = 4
+
+
+def test_find_stack_layer_budget(tmp_path, capsys, monkeypatch):
+    from mdl.cli import main
+
+    pg33 = catalog.gen("pg", (3, 3))  # 13 lines, all representable: no stack
+    monkeypatch.setattr(stacks, "LAYER_BUDGET", 5)
+    with pytest.raises(CapExceeded, match="layer evaluation budget"):
+        stacks.find_stack(pg33, 3, 1, 2)
+    f = str(tmp_path / "pg33.mtd")
+    catalog.write_matroid(pg33, f)
+    find = ["stack", "find", f, "--q", "3", "--h", "1", "--t", "2"]
+    assert main(find) == 2
+    assert "layer evaluation budget" in capsys.readouterr().err
+    monkeypatch.setenv("MDL_CAP_OVERRIDE", "13")
+    assert stacks.find_stack(pg33, 3, 1, 2) is None
+    assert main(find) == 1
+    assert "found=False" in capsys.readouterr().out
 
 
 # -- serialization -------------------------------------------------------------
@@ -318,6 +336,42 @@ def test_no_stack_in_projection_premise_errors():
         stacks.check_no_stack_in_projection(fano.delete(0b1), 0, 2, 0, 3)
 
 
+def test_no_stack_in_projection_one_search_answers_every_t(monkeypatch):
+    # a lem14-shaped input: PG(3,2) over GF(4) plus one noise column
+    m = catalog.gen("pg_plus_noise", (3, 2, 4, 1), seed=7)
+    x = 1 << 7
+    h = m.rank(x)
+    want = {t: stacks.find_stack(m.contract(x), 2, h + 1, t) for t in (2, 3)}
+    assert want == {2: None, 3: None}
+    calls = []
+    find = stacks.find_stack
+
+    def counted(*args):
+        calls.append(args[1:])
+        return find(*args)
+
+    monkeypatch.setattr(stacks, "find_stack", counted)
+    rpt = stacks.check_no_stack_in_projection(m, x, 2, h, 3)
+    assert calls == [(2, h + 1, 3)]
+    assert rpt.results == want and list(rpt.results) == [2, 3] and rpt.ok
+
+
+def test_no_stack_in_projection_searches_smaller_t_after_a_find(monkeypatch):
+    m = catalog.gen("pg_plus_noise", (3, 2, 4, 1), seed=7)
+    found = stacks.StackCert((0b11,), 2, 4)
+    calls = []
+
+    def stub(mx, q, h, t):
+        calls.append(t)
+        return found if t == 4 else None
+
+    monkeypatch.setattr(stacks, "find_stack", stub)
+    rpt = stacks.check_no_stack_in_projection(m, 1 << 7, 2, 1, 4)
+    assert calls == [4, 2, 3]
+    assert list(rpt.results) == [2, 3, 4] and rpt.results[4] is found
+    assert not rpt.ok
+
+
 # -- low-connectivity flats ------------------------------------------------------------
 
 
@@ -372,22 +426,35 @@ def geometry_with_two_mixed_lines():
     return m, parts
 
 
-def test_layered_construction_case2():
-    m, parts = geometry_with_two_mixed_lines()
-    r_mask = mask_of(range(15))
-    cert = stacks.StackCert(parts, 2, 2)
-    assert stacks.verify_stack(m, cert).ok
-    out = stacks._layered_low_conn_flat(m, r_mask, parts, 2, 2)
-    assert isinstance(out, stacks.FlatResult)
-    assert out.minor.rank(out.flat) == 2
-    assert stacks._half_conn_holds(out.minor, out.pg_restriction, out.flat)
+def test_find_low_conn_flat_seeded_invariant():
+    # once the premises hold, the grown J reaches rank k: every input
+    # with a certificate gets a rank-1 flat, never the rank guard
+    shapes = [(3, 2, 1), (3, 2, 2), (4, 2, 1), (3, 3, 1), (3, 3, 2), (4, 2, 3)]
+    checked = 0
+    for seed in range(36):
+        n, q, extra = shapes[seed % len(shapes)]
+        m = catalog.gen("pg_plus_noise", (n, q, q * q, extra), seed=seed)
+        r_mask = mask_of(range((q ** n - 1) // (q - 1)))
+        cert = stacks.find_stack(m, q, 1, 2)
+        if cert is None:
+            continue
+        out = stacks.find_low_conn_flat(m, r_mask, cert, 1)
+        assert out.minor is m and out.pg_restriction == r_mask
+        assert m.rank(out.flat) == 1 and m.closure(out.flat) == out.flat
+        assert stacks._half_conn_holds(m, r_mask, out.flat)
+        checked += 1
+    assert checked >= 30
 
 
-def test_layered_construction_failure_paths():
-    m = catalog.gen("u24_tower", (2,))
-    r_mask = 0  # no geometry at all: layers cannot base themselves in R
-    out = stacks._layered_low_conn_flat(m, r_mask, tower_cert(2).parts, 2, 2)
-    assert isinstance(out, stacks.FlatFailure)
+def test_find_low_conn_flat_all_parallel_to_r():
+    # every element outside R is parallel to a point of R: M is binary,
+    # so no layer is non-representable and the certificate is refused
+    fano = catalog.gen("pg", (3, 2))
+    m = parallel_extension(fano, [0, 1, 2])
+    line = next(ln for ln in fano.flats_of_rank(2) if ln & 1)
+    cert = stacks.StackCert((m.closure(line),), 2, 2)
+    with pytest.raises(PremiseError, match="representable"):
+        stacks.find_low_conn_flat(m, mask_of(range(7)), cert, 1)
 
 
 # -- the flat scan against a submask reference ---------------------------------
