@@ -5,6 +5,9 @@ violated (counterexamples are dumped as replayable .mtd files), 2 usage
 or cap errors, 3 internal error (an unexpected exception, never a
 verdict).  Every subcommand takes --json for a machine-readable mirror
 of the same content.
+
+`mdl <command> ...` builds the parser of that command alone; a bare
+`mdl`, `-h`/`--help` or an unknown command builds every command's.
 """
 
 from __future__ import annotations
@@ -225,92 +228,72 @@ def cmd_verify(args) -> int:
     return OK if result.passed else FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*names: str, **kw) -> tuple:
+    """One argument of a command: the names and keywords of add_argument."""
+    return names, kw
+
+
+# name: (help, arguments).  Every command also takes --json, and command
+# <name> runs cmd_<name>, looked up when the parser is built, so a
+# handler replaced on this module is the one that runs.
+COMMANDS = {
+    "gen": ("emit a catalog matroid as a .mtd file", (
+        _arg("family"), _arg("params", nargs="*"), _arg("-o", "--output", required=True),
+        _arg("--seed", type=int, default=0))),
+    "tau": ("exact a-covering number with certificate", (
+        _arg("file"), _arg("--a", type=_at_least(0), required=True))),
+    "tauw": ("exact minimum d-weight of a cover", (
+        _arg("file"), _arg("--d", type=int, required=True))),
+    "conn": ("local connectivity and skewness of two sets", (
+        _arg("file"), _arg("--x", required=True, help="comma separated element list"),
+        _arg("--y", required=True))),
+    "round": ("weak roundness check / extraction", (
+        _arg("file"), _arg("--extract", action="store_true"),
+        _arg("--a", type=_at_least(0), default=1), _arg("--q", type=int, default=2),
+        _arg("--alpha", type=_rational, default="1", help="exact rational like 7/32"))),
+    "rep": ("GF(q)-representability verdict", (
+        _arg("file"), _arg("--q", type=_field_order, required=True))),
+    "pg": ("projective geometry recognition", (
+        _arg("file"), _arg("--n", type=int, required=True),
+        _arg("--q", type=_field_order, required=True))),
+    "stack": ("verify or find stack certificates", (
+        _arg("action", choices=["verify", "find"]), _arg("file"),
+        _arg("--q", type=_field_order, required=True), _arg("--h", type=int, default=1),
+        _arg("--t", type=int, required=True),
+        _arg("--parts", help="pipe separated element lists: 0,1|2,3"))),
+    "cover": ("constructive bounded cover", (
+        _arg("mode", choices=["thm4"]), _arg("file"),
+        _arg("--a", type=int, required=True), _arg("--b", type=int, required=True))),
+    "verify": ("run a lemma property suite", (
+        _arg("lemma", choices=sorted(harness.SUITES)),
+        _arg("--trials", type=_at_least(1), default=30), _arg("--seed", type=int, default=0))),
+}
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command named `only` alone.
+
+    A one-command parser still names every command in its usage line, so
+    its errors read as the full parser's do.  The full parser keeps the
+    default metavar: a set one would rename `argument command` in its
+    invalid-choice and missing-command errors.
+    """
     ap = argparse.ArgumentParser(prog="mdl", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("gen", help="emit a catalog matroid as a .mtd file")
-    p.add_argument("family")
-    p.add_argument("params", nargs="*")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_json(p)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("tau", help="exact a-covering number with certificate")
-    p.add_argument("file")
-    p.add_argument("--a", type=_at_least(0), required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_tau)
-
-    p = sub.add_parser("tauw", help="exact minimum d-weight of a cover")
-    p.add_argument("file")
-    p.add_argument("--d", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_tauw)
-
-    p = sub.add_parser("conn", help="local connectivity and skewness of two sets")
-    p.add_argument("file")
-    p.add_argument("--x", required=True, help="comma separated element list")
-    p.add_argument("--y", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_conn)
-
-    p = sub.add_parser("round", help="weak roundness check / extraction")
-    p.add_argument("file")
-    p.add_argument("--extract", action="store_true")
-    p.add_argument("--a", type=_at_least(0), default=1)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--alpha", type=_rational, default="1", help="exact rational like 7/32")
-    add_json(p)
-    p.set_defaults(func=cmd_round)
-
-    p = sub.add_parser("rep", help="GF(q)-representability verdict")
-    p.add_argument("file")
-    p.add_argument("--q", type=_field_order, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_rep)
-
-    p = sub.add_parser("pg", help="projective geometry recognition")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=_field_order, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_pg)
-
-    p = sub.add_parser("stack", help="verify or find stack certificates")
-    p.add_argument("action", choices=["verify", "find"])
-    p.add_argument("file")
-    p.add_argument("--q", type=_field_order, required=True)
-    p.add_argument("--h", type=int, default=1)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--parts", help="pipe separated element lists: 0,1|2,3")
-    add_json(p)
-    p.set_defaults(func=cmd_stack)
-
-    p = sub.add_parser("cover", help="constructive bounded cover")
-    p.add_argument("mode", choices=["thm4"])
-    p.add_argument("file")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_cover)
-
-    p = sub.add_parser("verify", help="run a lemma property suite")
-    p.add_argument("lemma", choices=sorted(harness.SUITES))
-    p.add_argument("--trials", type=_at_least(1), default=30)
-    p.add_argument("--seed", type=int, default=0)
-    add_json(p)
-    p.set_defaults(func=cmd_verify)
-
+    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_, args) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_)
+            for names, kw in args + (_JSON,):
+                p.add_argument(*names, **kw)
+            p.set_defaults(func=globals()[f"cmd_{name}"])
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

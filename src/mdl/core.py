@@ -28,9 +28,10 @@ class Matroid:
     """Base class: a ground mask plus a memoized rank oracle.
 
     Subclasses implement ``_rank_impl`` on subsets of ``ground`` and may
-    override ``closure`` and ``_classes`` (the step ``flats_of_rank``
-    takes from a flat to the flats covering it) with something faster
-    than the generic scans.
+    override ``closure``, ``_spanned`` (the part of a closure a minor's
+    closure asks of its base) and ``_classes`` (the step
+    ``flats_of_rank`` takes from a flat to the flats covering it) with
+    something faster than the generic scans.
     """
 
     kind = "abstract"
@@ -81,6 +82,14 @@ class Matroid:
             if self.rank(x | (1 << e)) == rx:
                 cl |= 1 << e
         return cl
+
+    def _spanned(self, x: int, mask: int) -> int:
+        """The elements of mask outside x that lie in cl(x).
+
+        A minor asks this of its base with mask its own live elements, so
+        a base that can test elements one by one skips the dead ones.
+        """
+        return self.closure(x) & mask & ~x
 
     def _classes(self, x: int, mask: int) -> list[int]:
         """Group the elements e of mask, none in cl(x), by cl(x + e).
@@ -232,9 +241,12 @@ class LinearMatroid(Matroid):
         return len(gf.echelon(self.field, self._vecs, x))
 
     def closure(self, x: int) -> int:
+        return x | self._spanned(x, self.ground & ~x)
+
+    def _spanned(self, x: int, mask: int) -> int:
         """Span membership test against an echelon basis of x's columns."""
         f, vecs = self.field, self._vecs
-        return x | gf.spanned(f, gf.echelon(f, vecs, x), vecs, self.ground & ~x)
+        return gf.spanned(f, gf.echelon(f, vecs, x), vecs, mask & ~x)
 
     def _classes(self, x: int, mask: int) -> list[int]:
         """One elimination of x, then each column of mask reduced once."""
@@ -276,7 +288,7 @@ class MinorMatroid(Matroid):
         return self._rank_impl(x)
 
     def closure(self, x: int) -> int:
-        return self.base.closure(x | self.contracted) & self.ground
+        return x | self.base._spanned(x | self.contracted, self.ground & ~x)
 
     def _classes(self, x: int, mask: int) -> list[int]:
         return self.base._classes(x | self.contracted, mask)

@@ -1,4 +1,5 @@
-"""Fuzzed argument vectors: every exit is 0, 1 or 2, never an internal error."""
+"""Fuzzed argument vectors and .mtd files: every exit is 0, 1 or 2, never an
+internal error."""
 
 import contextlib
 import io
@@ -80,5 +81,65 @@ def test_cli_exit_codes_under_fuzz(files):
             code = main(args)
         assert code in (0, 1, 2), (args, code, err.getvalue())
         assert "internal error" not in err.getvalue(), (args, err.getvalue())
+
+    check()
+
+
+# .mtd text: valid fixture files with lines and tokens dropped, duplicated,
+# swapped or garbled; read_matroid must refuse what it cannot build
+MUTATIONS = ("drop line", "duplicate line", "swap lines", "garble token", "drop token",
+             "duplicate token")
+mtd_tokens = st.one_of(st.integers(-3, 140).map(str), st.sampled_from(
+    ["", "x", "-", "1.5", "1e3", "0x10", "1000000", "#", "é", "end", "matroid", "kind", "field",
+     "rank", "col", "params", "of", "contract", "delete", "parts", "linear", "uniform",
+     "minor", "direct_sum"]))
+
+
+@st.composite
+def mutated(draw, texts):
+    lines = draw(st.sampled_from(texts)).splitlines()
+    own = sorted({t for line in lines for t in line.split()})
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        op = draw(st.sampled_from(MUTATIONS))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "drop line":
+            del lines[i]
+        elif op == "duplicate line":
+            lines.insert(i, lines[i])
+        elif op == "swap lines":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif toks := lines[i].split():
+            k = draw(st.integers(0, len(toks) - 1))
+            if op == "garble token":
+                toks[k] = draw(st.one_of(mtd_tokens, st.sampled_from(own)))
+            elif op == "drop token":
+                del toks[k]
+            else:
+                toks.insert(k, toks[k])
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def test_mtd_text_fuzz(files, tmp_path):
+    texts = []
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    path = str(tmp_path / "mutated.mtd")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mutated(texts))
+    def check(text):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for args in (["tau", path, "--a", "1"], ["rep", path, "--q", "2"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+            assert code in (0, 1, 2), (text, args, code, err.getvalue())
+            assert "internal error" not in err.getvalue(), (text, args, err.getvalue())
 
     check()

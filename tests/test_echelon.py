@@ -14,7 +14,7 @@ import pytest
 
 from mdl import catalog, gf
 from mdl.bits import bits, mask_of
-from mdl.core import LinearMatroid, Matroid
+from mdl.core import LinearMatroid, Matroid, UniformMatroid, direct_sum, parallel_extension
 
 QS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -132,6 +132,44 @@ def test_minor_flats_match_span_reference(q):
                 assert lm.flats_of_rank(k) == flats, (q, i, k)
                 if k <= lm.rank():
                     assert flats == flats_by_extension(rm, k), (q, i, k)
+
+
+def nested_minors(m, rng):
+    """minors(m) plus a minor of a minor of a minor."""
+    live = list(bits(m.ground))
+    c, d, e = (1 << x for x in rng.sample(live, 3))
+    return minors(m, rng) + [lambda n: n.contract(c).delete(d).contract(e)]
+
+
+def check_minor_closures(m, minor_of, rng, ref=None):
+    """Each minor's closure equals the base closure of X plus the
+    contracted set, cut to the minor's ground; also on ref's minors."""
+    for minor in minor_of(m, rng):
+        mm = minor(m)
+        for _ in range(30):
+            x = rng.getrandbits(m.n) & rng.getrandbits(m.n) & mm.ground
+            cl = m.closure(x | mm.contracted) & mm.ground
+            assert mm.closure(x) == cl
+            if ref is not None:
+                assert minor(ref).closure(x) == cl
+
+
+@pytest.mark.parametrize("q", QS)
+def test_minor_closure_matches_base_closure(q):
+    rng = random.Random(8192 + q)
+    for lin in corpus(q):
+        ref = SpanMatroid(lin.field, lin.matrix.rows, lin.matrix.columns())
+        check_minor_closures(lin, nested_minors, rng, ref)
+
+
+def test_minor_closure_of_other_kinds():
+    """Minors of uniform, direct-sum and parallel-extension matroids close
+    through their base's own closure."""
+    rng = random.Random(8191)
+    fano = catalog.gen("pg", (3, 2))
+    for m in (UniformMatroid(3, 7), direct_sum([UniformMatroid(2, 4), fano]),
+              parallel_extension(fano, [0, 3, 3])):
+        check_minor_closures(m, nested_minors, rng)
 
 
 def grouped_by_closure(m, x, mask):
