@@ -31,7 +31,7 @@ from typing import Sequence
 
 from . import gf
 from .bits import indices_of, mask_of
-from .core import (DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid,
+from .core import (MAX_GROUND, DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid,
                    UniformMatroid, direct_sum)
 
 RNG_ALGORITHM = "mt19937"
@@ -212,6 +212,9 @@ def _build_block(path: str, block: dict, named: dict[str, Matroid]) -> Matroid:
             raise ParseError(path, lineno, "linear block needs field and rank lines")
         f = block["field"]
         rows = block["rank"]
+        if not 0 <= rows <= MAX_GROUND or len(block["cols"]) > MAX_GROUND:
+            raise ParseError(path, lineno, f"linear block needs 0..{MAX_GROUND} rows "
+                             f"and at most {MAX_GROUND} columns")
         columns = []
         for colno, col in block["cols"]:
             if len(col) != rows:
@@ -231,8 +234,10 @@ def _build_block(path: str, block: dict, named: dict[str, Matroid]) -> Matroid:
         if base is None:
             raise ParseError(path, lineno,
                              f"minor references unknown base {block.get('of')!r}")
-        c = mask_of(block.get("contract", []))
-        d = mask_of(block.get("delete", []))
+        contract, delete = block.get("contract", []), block.get("delete", [])
+        if any(i >= base.n for i in contract + delete):
+            raise ParseError(path, lineno, "minor sets contain dead elements")
+        c, d = mask_of(contract), mask_of(delete)
         try:
             return base.minor(c, d)
         except (ValueError, IndexError) as exc:

@@ -3,8 +3,10 @@
 Exit codes: 0 success / property holds, 1 verdict negative or property
 violated (counterexamples are dumped as replayable .mtd files), 2 usage
 or cap errors, 3 internal error (an unexpected exception, never a
-verdict).  Every subcommand takes --json for a machine-readable mirror
-of the same content.
+verdict).  `mdl verify` exits 1 when a trial fails, also when its check
+refused a premise or failed its own re-verification; a cap hit during a
+trial exits 2.  Every subcommand takes --json for a machine-readable
+mirror of the same content.
 
 `mdl <command> ...` builds the parser of that command alone; a bare
 `mdl`, `-h`/`--help` or an unknown command builds every command's.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -25,9 +28,12 @@ from .errors import CapExceeded, PremiseError
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
-def _emit(args, pairs: dict, blocks: list[str] | None = None) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(pairs, default=str))
+def _emit(args, pairs: dict, blocks: list[str] | None = None,
+          data: dict | None = None) -> None:
+    """Print pairs as key=value lines and then blocks, or under --json one
+    object of pairs and data (what only the JSON form carries)."""
+    if args.json:
+        print(json.dumps({**pairs, **(data or {})}, default=str))
         return
     for k, v in pairs.items():
         print(f"{k}={v}")
@@ -87,28 +93,22 @@ def cmd_gen(args) -> int:
     return OK
 
 
+def _emit_cover_value(args, key: str, m, res) -> int:
+    """tau and tauw: the value as a string, and the certificate if any."""
+    cover = res.cover
+    _emit(args, {key: str(res.value)}, [_cover_block(m, cover)] if cover else [],
+          data={"cover": [indices_of(s) for s in cover.sets] if cover else None})
+    return OK
+
+
 def cmd_tau(args) -> int:
     m = catalog.read_matroid(args.file)
-    res = covers.tau(m, args.a)
-    blocks = [_cover_block(m, res.cover)] if res.cover else []
-    if getattr(args, "json", False):
-        print(json.dumps({"tau": str(res.value),
-                          "cover": [indices_of(s) for s in res.cover.sets] if res.cover else None}))
-    else:
-        _emit(args, {"tau": res.value}, blocks)
-    return OK
+    return _emit_cover_value(args, "tau", m, covers.tau(m, args.a))
 
 
 def cmd_tauw(args) -> int:
     m = catalog.read_matroid(args.file)
-    res = covers.tau_weighted(m, args.d)
-    if getattr(args, "json", False):
-        print(json.dumps({"tau_weighted": str(res.value),
-                          "cover": [indices_of(s) for s in res.cover.sets] if res.cover else None}))
-    else:
-        blocks = [_cover_block(m, res.cover)] if res.cover else []
-        _emit(args, {"tau_weighted": res.value}, blocks)
-    return OK
+    return _emit_cover_value(args, "tau_weighted", m, covers.tau_weighted(m, args.d))
 
 
 def cmd_conn(args) -> int:
@@ -141,14 +141,13 @@ def cmd_rep(args) -> int:
     m = catalog.read_matroid(args.file)
     res = rep.is_representable(m, args.q)
     info: dict = {"representable": res.representable}
-    blocks = []
+    blocks, data = [], {}
     if res.matrix is not None:
         rows = [" ".join(str(v) for v in row) for row in res.matrix.entries]
         blocks.append("matrix\n" + "\n".join("  " + r for r in rows))
         info["rows"] = res.matrix.rows
-        if getattr(args, "json", False):
-            info["matrix"] = [list(row) for row in res.matrix.entries]
-    _emit(args, info, blocks)
+        data["matrix"] = [list(row) for row in res.matrix.entries]
+    _emit(args, info, blocks, data)
     return OK if res.representable else FAIL
 
 
@@ -174,19 +173,14 @@ def cmd_stack(args) -> int:
     if cert is None:
         _emit(args, {"found": False})
         return FAIL
-    if getattr(args, "json", False):
-        print(json.dumps({"found": True, "q": cert.q, "t": cert.t,
-                          "parts": [indices_of(p) for p in cert.parts]}))
-    else:
-        _emit(args, {"found": True}, [stacks.serialize_cert(cert)])
+    _emit(args, {"found": True}, [stacks.serialize_cert(cert)],
+          data={"q": cert.q, "t": cert.t, "parts": [indices_of(p) for p in cert.parts]})
     return OK
 
 
 def cmd_cover(args) -> int:
     m = catalog.read_matroid(args.file)
     cov = covers.kdensity_cover(m, args.a, args.b)
-    import math
-
     bound = math.comb(args.b - 1, args.a) ** max(m.rank() - args.a, 0)
     union = 0
     for s in cov.sets:
@@ -194,11 +188,7 @@ def cmd_cover(args) -> int:
     info = {"cover_size": len(cov.sets), "bound": bound,
             "covers_ground": union == m.ground,
             "within_bound": len(cov.sets) <= bound}
-    if getattr(args, "json", False):
-        info["sets"] = [indices_of(s) for s in cov.sets]
-        print(json.dumps(info))
-    else:
-        _emit(args, info, [_cover_block(m, cov)])
+    _emit(args, info, [_cover_block(m, cov)], data={"sets": [indices_of(s) for s in cov.sets]})
     return OK if info["covers_ground"] and info["within_bound"] else FAIL
 
 
@@ -215,7 +205,7 @@ def cmd_verify(args) -> int:
                 rows[-1]["dump"] = path
             except ValueError:
                 pass
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"lemma": args.lemma, "passed": good, "total": total,
                           "trials": rows}))
     else:

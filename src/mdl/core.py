@@ -36,11 +36,11 @@ class Matroid:
 
     kind = "abstract"
 
-    def __init__(self, n: int, ground: int):
+    def __init__(self, n: int, ground: int | None = None):
         if n > MAX_GROUND:
             raise ValueError(f"ground size {n} exceeds cap {MAX_GROUND}")
         self.n = n
-        self.ground = ground
+        self.ground = (1 << n) - 1 if ground is None else ground
         self._rank_memo: dict[int, int] = {}
         self._flat_levels: list[list[int]] | None = None
         self._full_rank: int | None = None
@@ -214,7 +214,7 @@ class UniformMatroid(Matroid):
     def __init__(self, r: int, n: int):
         if r < 0 or n < 0 or r > n:
             raise ValueError(f"bad uniform parameters r={r}, n={n}")
-        super().__init__(n, (1 << n) - 1)
+        super().__init__(n)
         self.r = r
 
     def _rank_impl(self, x: int) -> int:
@@ -232,7 +232,7 @@ class LinearMatroid(Matroid):
     kind = "linear"
 
     def __init__(self, matrix: gf.Matrix):
-        super().__init__(matrix.cols, (1 << matrix.cols) - 1)
+        super().__init__(matrix.cols)
         self.matrix = matrix
         self.field = matrix.field
         self._vecs = tuple(gf.vector(self.field, col) for col in matrix.columns())
@@ -303,19 +303,14 @@ class DirectSumMatroid(Matroid):
         if not parts:
             raise ValueError("direct sum needs at least one part")
         self.parts = tuple(parts)
-        locate: list[tuple[int, int]] = []
-        for pi, part in enumerate(self.parts):
-            for e in part.elements():
-                locate.append((pi, e))
-        n = len(locate)
-        super().__init__(n, (1 << n) - 1)
-        self._locate = locate
         offsets = []
-        off = 0
+        n = 0
         for part in self.parts:
-            offsets.append(off)
-            off += part.size()
+            offsets.append(n)
+            n += part.size()
+        super().__init__(n)
         self._offsets = offsets
+        self._locate = [(pi, e) for pi, part in enumerate(self.parts) for e in part.elements()]
 
     def _split(self, x: int) -> list[int]:
         local = [0] * len(self.parts)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import rep
 from .bits import bits, indices_of, mask_of
@@ -294,13 +293,6 @@ class GetstackFailure:
         return False
 
 
-DensityOracle = Callable[[Matroid], int | Fraction]
-
-
-def exact_density_oracle(d: int) -> DensityOracle:
-    return lambda m: tau_weighted(m, d).value
-
-
 def _claim_step(cur: Matroid, e: int, q: int, d: int, a: int) -> int | None:
     """Locate X with rank <= a+1 whose restriction is not
     GF(q)-representable, via d-minimal covers of M and M/e.
@@ -330,32 +322,17 @@ def _claim_step(cur: Matroid, e: int, q: int, d: int, a: int) -> int | None:
     return None
 
 
-def getstack(m: Matroid, params: DensityParams,
-             density_oracle: DensityOracle | None = None) -> GetstackResult | GetstackFailure:
+def getstack(m: Matroid, params: DensityParams) -> GetstackResult | GetstackFailure:
     """Find a contraction-minor N with an (h, q, a+1)-stack restriction
-    and tau^d(N) >= lam * q^r(N), or fail explicitly.
-
-    The density oracle supplies tau^d values; when the input is small
-    enough for the exact solver, the oracle is spot-checked against it
-    and an inconsistency is an error, not a failure.
-    """
+    and tau^d(N) >= lam * q^r(N), or fail explicitly."""
     a, b, q, d, h = params.a, params.b, params.q, params.d, params.h
     lam = Fraction(params.lam)
     if d <= max(q + 1, math.comb(b - 1, a)):
         raise PremiseError("need d > max(q+1, C(b-1,a))")
     if lam < 1:
         raise PremiseError("the recursion is stated for lam >= 1")
-    oracle = density_oracle or exact_density_oracle(d)
-    if density_oracle is not None:
-        try:
-            exact = tau_weighted(m, d).value
-            if oracle(m) != exact:
-                raise ValueError(
-                    f"density oracle disagrees with exact tau^d: {oracle(m)} != {exact}")
-        except CapExceeded:
-            pass
     alpha = alpha_getstack(params)
-    if oracle(m) < alpha * q ** m.rank():
+    if tau_weighted(m, d).value < alpha * q ** m.rank():
         return GetstackFailure("premise not met: tau^d(M) < alpha * q^r(M)")
     if h == 0:
         return GetstackResult(m, StackCert((), q, a + 1))
@@ -364,7 +341,7 @@ def getstack(m: Matroid, params: DensityParams,
     while True:
         for e in bits(cur.nonloops()):
             nxt = cur.contract(1 << e)
-            if oracle(nxt) >= alpha * q ** nxt.rank():
+            if tau_weighted(nxt, d).value >= alpha * q ** nxt.rank():
                 cur = nxt
                 break
         else:
@@ -379,7 +356,7 @@ def getstack(m: Matroid, params: DensityParams,
             "claim failed: no non-representable set of rank <= a+1 located")
     sub_params = DensityParams(a=a, b=b, q=q, d=d, t=params.t, h=h - 1,
                                lam=lam * q ** (a + 1))
-    deeper = getstack(cur.contract(x), sub_params, oracle)
+    deeper = getstack(cur.contract(x), sub_params)
     if isinstance(deeper, GetstackFailure):
         return GetstackFailure(f"recursion at h={h - 1}: {deeper.reason}")
     cur_x = cur.contract(x)
@@ -387,7 +364,7 @@ def getstack(m: Matroid, params: DensityParams,
     bc = cur_x.basis_of(c_rel)
     n = cur.contract(bc)
     cert = certify(n, (x,) + deeper.cert.parts, q, t=a + 1)
-    if oracle(n) < lam * q ** n.rank():
+    if tau_weighted(n, d).value < lam * q ** n.rank():
         return GetstackFailure("result failed the final density check")
     return GetstackResult(n, cert)
 

@@ -1,11 +1,14 @@
 """CLI subcommands: pipelines, verdict exit codes, determinism, json."""
 
+import importlib
 import json
 import os
+import time
 
 import pytest
 
 from mdl.cli import main
+from mdl.errors import CapExceeded, PremiseError
 
 
 def run(capsys, *argv):
@@ -219,11 +222,8 @@ def test_verify_dumps_counterexample(tmp_path, capsys, monkeypatch):
     from mdl import harness
     from mdl.core import UniformMatroid
 
-    def failing_suite(trials, seed):
-        bad = harness.Trial(0, False, "synthetic failure", UniformMatroid(2, 4))
-        return harness.SuiteResult("lem10", [bad])
-
-    monkeypatch.setitem(harness.SUITES, "lem10", failing_suite)
+    monkeypatch.setitem(harness.SUITES, "lem10", lambda rng, i, seed: (
+        UniformMatroid(2, 4), lambda: (False, "synthetic failure")))
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "verify", "lem10", "--trials", "1")
     assert code == 1
@@ -238,3 +238,71 @@ def test_gen_seed_determinism(tmp_path, capsys):
     text_a = open(a).read()
     text_b = open(b).read()
     assert text_a.splitlines()[1:] == text_b.splitlines()[1:]
+
+
+def _raising(exc):
+    def procedure(*args, **kwargs):
+        raise exc
+    return procedure
+
+
+@pytest.mark.parametrize("suite, module, name", [
+    ("lem7", "stacks", "project_stack"),
+    ("cor5", "covers", "check_contraction_inequalities"),
+])
+@pytest.mark.parametrize("exc, code, err", [
+    (RuntimeError("re-check failed"), 1, ""),
+    (PremiseError("premise refused"), 1, ""),
+    (CapExceeded("cap hit"), 2, "error: cap hit"),
+    (TypeError("a bug"), 3, "internal error: TypeError('a bug')"),
+], ids=["runtime", "premise", "cap", "type"])
+def test_verify_verdict_policy(tmp_path, capsys, monkeypatch, suite, module, name, exc,
+                               code, err):
+    # the procedure a real suite calls raises: a PremiseError or a
+    # RuntimeError fails the trial (and dumps it), a CapExceeded is a cap
+    # error, and anything else is an internal error, never a verdict
+    monkeypatch.setattr(importlib.import_module(f"mdl.{module}"), name, _raising(exc))
+    monkeypatch.chdir(tmp_path)
+    got, out, stderr = run(capsys, "verify", suite, "--trials", "2")
+    assert got == code
+    assert stderr.startswith(err)
+    if code == 1:
+        assert f"pass=False raised {type(exc).__name__}: {exc} dump=" in out
+        assert f"lemma={suite} passed=0/2" in out
+        assert (tmp_path / f"counterexample_{suite}_trial1.mtd").exists()
+    else:
+        assert out == "" and not list(tmp_path.iterdir())
+
+
+def test_verify_draw_exception_is_internal_error(capsys, monkeypatch):
+    from mdl import harness
+
+    def draw(rng, i, seed):
+        raise TypeError("draw bug")
+
+    monkeypatch.setitem(harness.SUITES, "lem10", draw)
+    code, out, err = run(capsys, "verify", "lem10", "--trials", "2")
+    assert code == 3 and out == "" and err.startswith("internal error:")
+
+
+@pytest.mark.parametrize("text", [
+    "matroid m\nkind linear\nfield 2\nrank 400000\nend\n",
+    "matroid m\nkind linear\nfield 2\nrank 1\n" + "col 1\n" * 129 + "end\n",
+    "matroid m\nkind uniform\nparams 2 400000000\nend\n",
+    "matroid b\nkind uniform\nparams 2 4\nend\nmatroid m\nkind minor\nof b\n"
+    "contract 400000000\nend\n",
+    "matroid b\nkind uniform\nparams 2 4\nend\nmatroid m\nkind minor\nof b\n"
+    "delete 1 400000000\nend\n",
+    "matroid b\nkind uniform\nparams 2 128\nend\nmatroid m\nkind direct_sum\nparts"
+    + " b" * 5000 + "\nend\n",
+], ids=["rank", "cols", "params", "contract", "delete", "parts"])
+def test_oversized_file_refused_before_building(tmp_path, capsys, text):
+    # each file asks for far more than MAX_GROUND elements or rows; the
+    # reader refuses it at once instead of allocating that much first
+    f = tmp_path / "big.mtd"
+    f.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tau", str(f), "--a", "1")
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and err.startswith(f"error: {f}:"), (code, err)
+    assert elapsed < 0.1, elapsed

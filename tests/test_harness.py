@@ -1,5 +1,7 @@
 """Harness machinery: determinism, registry, failure reporting."""
 
+import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -58,3 +60,30 @@ def test_perfbench_tracer_wraps_every_layer():
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+# sha256 of json.dumps([[index, passed, detail], ...]) for 6 trials at
+# seed 0.  The verify benchmark pins `mdl verify --seed 0`, so its
+# timings compare only while each suite draws the same corpus; a change
+# that moves one rng draw changes a digest here.
+CORPUS_DIGESTS = {
+    "cor5": "a15916bb7084bb8c64a5935745cf07629e7707ebd303e9196d1ebacf42a806db",
+    "hirschfeld": "9a776c88849e823cfb416c71d7dc84113fd76cf69ffe5dfcf398e53b7f1d15f0",
+    "lem10": "b3f5dd507765dbb6f6bb1ee8d8b31d6938734246fa3be4a86f022941a3b3d061",
+    "lem11": "85fb3c07d73538687f52109a2fd9463edd4eef51d6e818086da4b34a1a049948",
+    "lem12": "5cdcb580d74809036465ac9e3fa083855d9b68c1cad72ddc192be44f2e50919d",
+    "lem14": "43b41b68c1a1778c74062afeb5381f3589a95694f2dd5866e9de48f5e2b91774",
+    "lem16": "a11364345be34da238995eeba87fdb981bf1845d97ba13763b737a62abae74aa",
+    "lem17": "9470acb05e3c74b70e7a4c3825997232e221f0af04ab683dd3db2d0f5aa3c7b0",
+    "lem7": "0565edd535e9d7065a5ab8be3031b03785b80ca9903e8417746e282108aac801",
+    "lem8": "b1901246b180e6795c1549921a8138065b2668cf40ff4631480bd1d410c9ff38",
+    "lem9": "0dcc4453c16cc59c5e9df4bb0c3ac2eb961443091dc201775c7e5577d8692d5e",
+    "thm4": "ba6ccec52675b784ed1d2a434865d909d8b8e20ef88812d78088b643e9f1ab8d",
+}
+
+
+def test_suite_corpora_pinned():
+    assert set(CORPUS_DIGESTS) == set(harness.SUITES)
+    for name, digest in CORPUS_DIGESTS.items():
+        rows = [[t.index, t.passed, t.detail] for t in harness.run_suite(name, 6, 0).trials]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, name

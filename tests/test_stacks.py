@@ -270,13 +270,6 @@ def test_getstack_premise_not_met():
     assert "premise" in out.reason
 
 
-def test_getstack_oracle_inconsistency():
-    m = UniformMatroid(2, 4)
-    p = DensityParams(a=1, b=5, q=2, d=5, t=2, h=1, lam=Fraction(1))
-    with pytest.raises(ValueError):
-        stacks.getstack(m, p, density_oracle=lambda _: 10 ** 9)
-
-
 def test_getstack_parameter_validation():
     m = UniformMatroid(2, 4)
     with pytest.raises(PremiseError):
