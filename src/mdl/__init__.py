@@ -1,6 +1,6 @@
 """Exact covering numbers, stacks and density reductions for small matroids."""
 
-from .errors import CapExceeded, PremiseError, UniformMinorDetected
+from .errors import CapExceeded, InputError, PremiseError, UniformMinorDetected
 from .gf import FiniteField, Matrix, field, matrix_rank
 from .core import (
     Matroid,
@@ -15,6 +15,7 @@ from .core import (
 
 __all__ = [
     "CapExceeded",
+    "InputError",
     "PremiseError",
     "UniformMinorDetected",
     "FiniteField",

@@ -33,6 +33,7 @@ from . import gf
 from .bits import indices_of, mask_of
 from .core import (MAX_GROUND, DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid,
                    UniformMatroid, direct_sum)
+from .errors import InputError
 
 RNG_ALGORITHM = "mt19937"
 
@@ -46,20 +47,67 @@ def pg_columns(n: int, q: int) -> list[tuple[int, ...]]:
     return gf.normalized_vectors(gf.field(q), n)
 
 
+# family: the names of its parameters, in order
+FAMILIES = {
+    "uniform": ("r", "n"),
+    "pg": ("n", "q"),
+    "fano": (),
+    "linear_random": ("rank", "cols", "q"),
+    "pg_plus_noise": ("n", "q", "q2", "extra"),
+    "u24_tower": ("h",),
+}
+
+
+def _points(n: int, q: int) -> int:
+    """(q^n - 1)/(q - 1) points of the rank-n geometry over GF(q), q >= 2;
+    counting stops once past MAX_GROUND."""
+    total = 0
+    for _ in range(n):
+        total = total * q + 1
+        if total > MAX_GROUND:
+            break
+    return total
+
+
+def _refuse(name: str, rank: int, columns: int) -> None:
+    """Refuse a member of rank 0 with columns, or more than MAX_GROUND
+    rows or columns, before any column is built."""
+    if rank == 0 and columns:
+        raise InputError(f"{name} of rank 0 has no nonzero column")
+    if rank > MAX_GROUND or columns > MAX_GROUND:
+        raise InputError(f"{name} would have more than {MAX_GROUND} rows or elements")
+
+
 def gen(name: str, params: Sequence = (), seed: int = 0) -> Matroid:
-    """Build a named family member; see the module docstring for the list."""
+    """Build a named family member; see the module docstring for the list.
+
+    The parameters, and the ground size against MAX_GROUND, are checked
+    before anything is built; a refusal raises InputError.
+    """
+    if name not in FAMILIES:
+        raise InputError(f"unknown matroid family {name!r}; choose from {sorted(FAMILIES)}")
+    names = FAMILIES[name]
+    if len(params) != len(names):
+        raise InputError(f"{name} takes {len(names)} parameters ({' '.join(names)}), "
+                         f"got {len(params)}")
+    for key, v in zip(names, params):
+        if v < 0:
+            raise InputError(f"{name} parameter {key} must be at least 0, got {v}")
     if name == "uniform":
         r, n = params
         return UniformMatroid(r, n)
     if name == "pg":
         n, q = params
+        gf.field(q)
+        _refuse(name, n, _points(n, q))
         return _linear(q, pg_columns(n, q), n)
     if name == "fano":
         return gen("pg", (3, 2))
     if name == "linear_random":
         rank, cols, q = params
+        gf.field(q)
+        _refuse(name, rank, cols)
         rng = random.Random(seed)
-        f = gf.field(q)
         columns = []
         for _ in range(cols):
             while True:
@@ -72,7 +120,8 @@ def gen(name: str, params: Sequence = (), seed: int = 0) -> Matroid:
         n, q, q2, extra = params
         f2 = gf.field(q2)
         if f2.p != q or f2.k != 2:
-            raise ValueError("pg_plus_noise needs q prime and q2 = q^2")
+            raise InputError("pg_plus_noise needs q prime and q2 = q^2")
+        _refuse(name, n, _points(n, q) + extra)
         columns = list(pg_columns(n, q))  # GF(q) digits are GF(q^2) constants
         rng = random.Random(seed)
         for _ in range(extra):
@@ -82,18 +131,15 @@ def gen(name: str, params: Sequence = (), seed: int = 0) -> Matroid:
                     break
             columns.append(col)
         return _linear(q2, columns, n)
-    if name == "u24_tower":
-        (h,) = params
-        return direct_sum([UniformMatroid(2, 4) for _ in range(h)])
-    if name == "direct_sum":
-        return direct_sum(list(params))
-    raise ValueError(f"unknown matroid family {name!r}")
+    (h,) = params  # u24_tower
+    _refuse(name, 2 * h, 4 * h)
+    return direct_sum([UniformMatroid(2, 4) for _ in range(h)])
 
 
 # -- file format ------------------------------------------------------
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, path: str, lineno: int, message: str):
         super().__init__(f"{path}:{lineno}: {message}")
 
@@ -128,7 +174,7 @@ def _emit(m: Matroid, name: str, blocks: list[str], counter: list[int]) -> str:
         blocks.append("\n".join([f"matroid {name}", "kind direct_sum",
                                  "parts " + " ".join(part_names), "end"]))
         return name
-    raise ValueError(f"matroid kind {m.kind!r} has no file representation")
+    raise InputError(f"matroid kind {m.kind!r} has no file representation")
 
 
 def write_matroid(m: Matroid, path: str, name: str = "m",
@@ -144,8 +190,12 @@ def write_matroid(m: Matroid, path: str, name: str = "m",
 
 def read_matroid(path: str) -> Matroid:
     """Parse a .mtd file; the matroid of the last block is returned."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, exc.object[:exc.start].count(b"\n") + 1,
+                         f"not UTF-8 text: {exc}") from None
     named: dict[str, Matroid] = {}
     last: Matroid | None = None
     block: dict | None = None
@@ -263,7 +313,7 @@ def write_manifest(entries: list[dict], path: str) -> None:
     for e in entries:
         missing = {"file", "family", "params", "seed"} - set(e)
         if missing:
-            raise ValueError(f"manifest entry missing fields {sorted(missing)}")
+            raise InputError(f"manifest entry missing fields {sorted(missing)}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"rng": RNG_ALGORITHM, "entries": entries}, fh, indent=1)
         fh.write("\n")

@@ -1,15 +1,17 @@
 """Command line front end.
 
 Exit codes: 0 success / property holds, 1 verdict negative or property
-violated (counterexamples are dumped as replayable .mtd files), 2 usage
-or cap errors, 3 internal error (an unexpected exception, never a
-verdict).  `mdl verify` exits 1 when a trial fails, also when its check
-refused a premise or failed its own re-verification; a cap hit during a
-trial exits 2.  Every subcommand takes --json for a machine-readable
-mirror of the same content.
+violated (counterexamples are dumped as replayable .mtd files), 2 usage,
+cap or refused-input errors (InputError: a bad argument, file or
+premise), 3 internal error (any other exception, a plain ValueError
+included; never a verdict).  `mdl verify` exits 1 when a trial fails,
+also when its check refused a premise or failed its own
+re-verification; a cap hit during a trial exits 2.  Every subcommand
+takes --json for a machine-readable mirror of the same content.
 
-`mdl <command> ...` builds the parser of that command alone; a bare
-`mdl`, `-h`/`--help` or an unknown command builds every command's.
+`mdl <command> ...` builds the parser of that command alone and imports
+only the modules that command runs; a bare `mdl`, `-h`/`--help` or an
+unknown command builds every command's parser.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
-from . import catalog, covers, gf, harness, rep, stacks
-from . import reduce as reductions
+from . import catalog, gf
 from .bits import indices_of, mask_of
-from .errors import CapExceeded, PremiseError
+from .errors import CapExceeded, InputError
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -43,10 +43,14 @@ def _emit(args, pairs: dict, blocks: list[str] | None = None,
 
 def _parse_list(text: str, m) -> int:
     """An element list of m; elements outside its ground set are a usage error."""
-    x = mask_of(int(tok) for tok in text.replace(",", " ").split())
-    if x & ~m.ground:
-        raise ValueError(f"elements outside the ground set: {indices_of(x & ~m.ground)}")
-    return x
+    try:
+        elements = [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    outside = sorted({e for e in elements if e < 0 or not m.ground >> e & 1})
+    if outside:
+        raise InputError(f"elements outside the ground set: {outside}")
+    return mask_of(elements)
 
 
 def _at_least(low: int):
@@ -69,8 +73,10 @@ def _field_order(text: str) -> int:
     return q
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
     """argparse type: an exact rational such as 7/32."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -85,7 +91,10 @@ def _cover_block(m, cover) -> str:
 
 
 def cmd_gen(args) -> int:
-    params = tuple(int(p) for p in args.params)
+    try:
+        params = tuple(int(p) for p in args.params)
+    except ValueError:
+        raise InputError(f"gen parameters must be integers, got {args.params}") from None
     m = catalog.gen(args.family, params, seed=args.seed)
     header = f"family={args.family} params={list(params)} seed={args.seed} rng={catalog.RNG_ALGORITHM}"
     catalog.write_matroid(m, args.output, name=args.family, header=header)
@@ -102,11 +111,15 @@ def _emit_cover_value(args, key: str, m, res) -> int:
 
 
 def cmd_tau(args) -> int:
+    from . import covers
+
     m = catalog.read_matroid(args.file)
     return _emit_cover_value(args, "tau", m, covers.tau(m, args.a))
 
 
 def cmd_tauw(args) -> int:
+    from . import covers
+
     m = catalog.read_matroid(args.file)
     return _emit_cover_value(args, "tau_weighted", m, covers.tau_weighted(m, args.d))
 
@@ -128,6 +141,8 @@ def cmd_round(args) -> int:
         info["violating_a"] = indices_of(pair[0])
         info["violating_b"] = indices_of(pair[1])
     if args.extract:
+        from . import reduce as reductions
+
         n = reductions.weakly_round_restriction(m, args.a, args.q, args.alpha)
         info["restriction"] = indices_of(n.ground)
         info["restriction_rank"] = n.rank()
@@ -138,6 +153,8 @@ def cmd_round(args) -> int:
 
 
 def cmd_rep(args) -> int:
+    from . import rep
+
     m = catalog.read_matroid(args.file)
     res = rep.is_representable(m, args.q)
     info: dict = {"representable": res.representable}
@@ -152,6 +169,8 @@ def cmd_rep(args) -> int:
 
 
 def cmd_pg(args) -> int:
+    from . import rep
+
     m = catalog.read_matroid(args.file)
     verdict = rep.is_pg(m, args.n, args.q)
     _emit(args, {"is_pg": verdict, "points": m.epsilon(), "rank": m.rank()})
@@ -159,6 +178,8 @@ def cmd_pg(args) -> int:
 
 
 def cmd_stack(args) -> int:
+    from . import stacks
+
     m = catalog.read_matroid(args.file)
     if args.action == "verify":
         if not args.parts:
@@ -179,6 +200,8 @@ def cmd_stack(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from . import covers
+
     m = catalog.read_matroid(args.file)
     cov = covers.kdensity_cover(m, args.a, args.b)
     bound = math.comb(args.b - 1, args.a) ** max(m.rank() - args.a, 0)
@@ -193,6 +216,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     result = harness.run_suite(args.lemma, args.trials, args.seed)
     good, total = result.counts
     rows = []
@@ -203,7 +228,7 @@ def cmd_verify(args) -> int:
             try:
                 catalog.write_matroid(t.dump, path, name=f"{args.lemma}_cx")
                 rows[-1]["dump"] = path
-            except ValueError:
+            except InputError:
                 pass
     if args.json:
         print(json.dumps({"lemma": args.lemma, "passed": good, "total": total,
@@ -223,9 +248,19 @@ def _arg(*names: str, **kw) -> tuple:
     return names, kw
 
 
-# name: (help, arguments).  Every command also takes --json, and command
-# <name> runs cmd_<name>, looked up when the parser is built, so a
-# handler replaced on this module is the one that runs.
+def _verify_args() -> tuple:
+    """The arguments of verify; the suite names are read from
+    harness.SUITES only when the verify parser is built."""
+    from . import harness
+
+    return (_arg("lemma", choices=sorted(harness.SUITES)),
+            _arg("--trials", type=_at_least(1), default=30), _arg("--seed", type=int, default=0))
+
+
+# name: (help, arguments, or a function returning them).  Every command
+# also takes --json, and command <name> runs cmd_<name>, looked up when
+# the parser is built, so a handler replaced on this module is the one
+# that runs.
 COMMANDS = {
     "gen": ("emit a catalog matroid as a .mtd file", (
         _arg("family"), _arg("params", nargs="*"), _arg("-o", "--output", required=True),
@@ -254,9 +289,7 @@ COMMANDS = {
     "cover": ("constructive bounded cover", (
         _arg("mode", choices=["thm4"]), _arg("file"),
         _arg("--a", type=int, required=True), _arg("--b", type=int, required=True))),
-    "verify": ("run a lemma property suite", (
-        _arg("lemma", choices=sorted(harness.SUITES)),
-        _arg("--trials", type=_at_least(1), default=30), _arg("--seed", type=int, default=0))),
+    "verify": ("run a lemma property suite", _verify_args),
 }
 _JSON = _arg("--json", action="store_true", help="machine-readable output")
 
@@ -275,7 +308,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     for name, (help_, args) in COMMANDS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=help_)
-            for names, kw in args + (_JSON,):
+            for names, kw in (args() if callable(args) else args) + (_JSON,):
                 p.add_argument(*names, **kw)
             p.set_defaults(func=globals()[f"cmd_{name}"])
     return ap
@@ -290,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except (CapExceeded, PremiseError, ValueError, OSError) as exc:
+    except (CapExceeded, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except Exception as exc:  # a bug, which must not read as a verdict

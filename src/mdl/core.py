@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 from . import gf
 from .bits import bits, indices_of, submasks
+from .errors import InputError
 
 MAX_GROUND = 128
 
@@ -38,7 +39,7 @@ class Matroid:
 
     def __init__(self, n: int, ground: int | None = None):
         if n > MAX_GROUND:
-            raise ValueError(f"ground size {n} exceeds cap {MAX_GROUND}")
+            raise InputError(f"ground size {n} exceeds cap {MAX_GROUND}")
         self.n = n
         self.ground = (1 << n) - 1 if ground is None else ground
         self._rank_memo: dict[int, int] = {}
@@ -185,7 +186,7 @@ class Matroid:
 
     def minor(self, contract: int, delete: int) -> "Matroid":
         if contract & delete:
-            raise ValueError("contract and delete sets overlap")
+            raise InputError("contract and delete sets overlap")
         if (contract | delete) & ~self.ground:
             raise IndexError("minor sets contain dead elements")
         if contract == 0 and delete == 0:
@@ -213,7 +214,7 @@ class UniformMatroid(Matroid):
 
     def __init__(self, r: int, n: int):
         if r < 0 or n < 0 or r > n:
-            raise ValueError(f"bad uniform parameters r={r}, n={n}")
+            raise InputError(f"bad uniform parameters r={r}, n={n}")
         super().__init__(n)
         self.r = r
 
@@ -301,7 +302,7 @@ class DirectSumMatroid(Matroid):
 
     def __init__(self, parts: Sequence[Matroid]):
         if not parts:
-            raise ValueError("direct sum needs at least one part")
+            raise InputError("direct sum needs at least one part")
         self.parts = tuple(parts)
         offsets = []
         n = 0

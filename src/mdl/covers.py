@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bits import bits, ksubsets
 from .core import Matroid
-from .errors import CapExceeded, PremiseError, UniformMinorDetected
+from .errors import CapExceeded, InputError, PremiseError, UniformMinorDetected
 
 INF = math.inf
 
@@ -58,13 +58,13 @@ class DensityParams:
 
     def __post_init__(self):
         if not 1 <= self.a < self.b:
-            raise ValueError("need 1 <= a < b")
+            raise InputError("need 1 <= a < b")
         if self.q < 2:
-            raise ValueError("need q >= 2")
+            raise InputError("need q >= 2")
         if self.d < 1 or self.t < 1 or self.h < 0:
-            raise ValueError("need d >= 1, t >= 1, h >= 0")
+            raise InputError("need d >= 1, t >= 1, h >= 0")
         if self.lam < 0:
-            raise ValueError("need lam >= 0")
+            raise InputError("need lam >= 0")
 
 
 def cover_weight(m: Matroid, cover: Cover, d: int) -> int:
@@ -219,7 +219,7 @@ def tau(m: Matroid, a: int) -> CoverResult:
 def tau_weighted(m: Matroid, d: int) -> CoverResult:
     """Exact minimum d-weight of a cover, with a d-minimal certificate."""
     if d < 1:
-        raise ValueError("need d >= 1")
+        raise InputError("need d >= 1")
     if m.ground == 0:
         return CoverResult(0, Cover((), m))
     r = m.rank()
@@ -256,7 +256,7 @@ def is_d_thick(m: Matroid, x: int, d: int) -> bool:
     """True iff the restriction to x cannot be covered by fewer than d
     sets of rank below its own rank (tau with a negative index is +inf)."""
     if x == 0:
-        raise ValueError("thickness of the empty set is undefined")
+        raise InputError("thickness of the empty set is undefined")
     sub = m.restrict(x)
     return tau(sub, sub.rank() - 1).value >= d
 
@@ -295,7 +295,7 @@ def kdensity_cover(m: Matroid, a: int, b: int) -> Cover:
     does, UniformMinorDetected carries the witness.
     """
     if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+        raise InputError("need 1 <= a < b")
     if m.ground == 0:
         return Cover((), m)
     r = m.rank()
@@ -328,7 +328,7 @@ def thick_uniform_minor(m: Matroid, a: int, b: int, d: int) -> tuple[int, int]:
     Returns (contract mask, restriction mask with >= b elements).
     """
     if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+        raise InputError("need 1 <= a < b")
     if d <= math.comb(b - 1, a):
         raise PremiseError("need d > C(b-1, a)")
     if m.rank() <= a:

@@ -9,13 +9,13 @@ def cap_override(default: int) -> int:
     """Search caps honor MDL_CAP_OVERRIDE (may make runs non-terminating).
 
     The override only raises a cap: a value below the default, or one
-    that is not an integer, is refused with a ValueError naming it.
+    that is not an integer, is refused with an InputError naming it.
     """
     v = os.environ.get("MDL_CAP_OVERRIDE")
     if not v:
         return default
     if not v.isdecimal() or int(v) < default:
-        raise ValueError(f"MDL_CAP_OVERRIDE={v!r} must be an integer >= {default}")
+        raise InputError(f"MDL_CAP_OVERRIDE={v!r} must be an integer >= {default}")
     return int(v)
 
 
@@ -23,7 +23,13 @@ class CapExceeded(RuntimeError):
     """An operation refused an instance beyond its documented size cap."""
 
 
-class PremiseError(ValueError):
+class InputError(ValueError):
+    """An input the program refuses: a parameter, argument or file it
+    cannot accept.  The CLI reports it as a usage error (exit 2); any
+    other ValueError is a bug."""
+
+
+class PremiseError(InputError):
     """A procedure's precondition does not hold for the given input."""
 
 

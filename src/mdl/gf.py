@@ -29,6 +29,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .errors import InputError
+
 MAX_ORDER = 32
 
 # irreducible modulus per extension order, coefficients ascending
@@ -104,9 +106,9 @@ class FiniteField:
                  "neg_table", "inv_table")
 
     def __init__(self, q: int):
-        pp = _prime_power(q)
-        if pp is None or not 2 <= q <= MAX_ORDER:
-            raise ValueError(f"q={q} is not a prime power in [2, {MAX_ORDER}]")
+        pp = _prime_power(q) if 2 <= q <= MAX_ORDER else None
+        if pp is None:
+            raise InputError(f"q={q} is not a prime power in [2, {MAX_ORDER}]")
         self.q = q
         self.p, self.k = pp
         if self.k == 1:
@@ -175,11 +177,11 @@ class Matrix:
         self.cols = cols
         rows_t = tuple(tuple(row) for row in entries)
         if len(rows_t) != rows or any(len(r) != cols for r in rows_t):
-            raise ValueError("entry grid does not match declared shape")
+            raise InputError("entry grid does not match declared shape")
         for r in rows_t:
             for e in r:
                 if not 0 <= e < f.q:
-                    raise ValueError(f"entry {e} is not a GF({f.q}) element")
+                    raise InputError(f"entry {e} is not a GF({f.q}) element")
         self.entries = rows_t
         self._columns = tuple(tuple(rows_t[i][j] for i in range(rows)) for j in range(cols))
 

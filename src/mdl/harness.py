@@ -17,7 +17,7 @@ from . import catalog, covers, gf, rep, stacks
 from . import reduce as reductions
 from .bits import bits, mask_of, submasks
 from .core import LinearMatroid, Matroid, UniformMatroid, direct_sum
-from .errors import CapExceeded, PremiseError
+from .errors import CapExceeded, InputError, PremiseError
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ def run_suite(lemma: str, trials: int, seed: int) -> SuiteResult:
     Any other exception, and any exception of a draw, propagates.
     """
     if lemma not in SUITES:
-        raise ValueError(f"unknown lemma suite {lemma!r}; "
+        raise InputError(f"unknown lemma suite {lemma!r}; "
                          f"choose from {sorted(SUITES)}")
     rng = random.Random(seed)
     out = []

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bits import bits
 from .core import Matroid
 from .covers import tau
-from .errors import PremiseError
+from .errors import InputError, PremiseError
 
 
 def reduce_connectivity(m: Matroid, y: int, a: int, b: int) -> int:
@@ -28,7 +28,7 @@ def reduce_connectivity(m: Matroid, y: int, a: int, b: int) -> int:
     members, so a majority argument saves the stated density fraction.
     """
     if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+        raise InputError("need 1 <= a < b")
     binom = math.comb(b - 1, a)
     tau_m = tau(m, a).value
     ry = m.rank(y)
@@ -79,7 +79,7 @@ def weakly_round_restriction(m: Matroid, a: int, q: int, alpha: Fraction) -> Mat
     """
     alpha = Fraction(alpha)
     if q < 2:
-        raise ValueError("need q >= 2")
+        raise InputError("need q >= 2")
     if tau(m, a).value < alpha * q ** m.rank():
         raise PremiseError("premise tau_a(M) >= alpha q^r(M) fails")
     cur = m

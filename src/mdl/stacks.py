@@ -17,7 +17,7 @@ from . import rep
 from .bits import bits, indices_of, mask_of
 from .core import Matroid, MinorMatroid, parallel_extension
 from .covers import DensityParams, tau_weighted
-from .errors import CapExceeded, PremiseError, cap_override
+from .errors import CapExceeded, InputError, PremiseError, cap_override
 
 LAYER_BUDGET = 1_000_000
 
@@ -112,12 +112,12 @@ def serialize_cert(cert: StackCert) -> str:
 def parse_cert(text: str) -> StackCert:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("stack "):
-        raise ValueError("certificate must start with a 'stack' line")
+        raise InputError("certificate must start with a 'stack' line")
     fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
     parts = []
     for ln in lines[1:]:
         if not ln.startswith("part "):
-            raise ValueError(f"unexpected certificate line: {ln!r}")
+            raise InputError(f"unexpected certificate line: {ln!r}")
         parts.append(mask_of(int(tok) for tok in ln.split()[1:]))
     return StackCert(tuple(parts), int(fields["q"]), int(fields["t"]))
 
@@ -131,7 +131,7 @@ def find_stack(m: Matroid, q: int, h: int, t: int) -> StackCert | None:
     exhaustive relative to this universe.
     """
     if t < 2 or h < 0:
-        raise ValueError("need t >= 2 and h >= 0")
+        raise InputError("need t >= 2 and h >= 0")
     budget = [cap_override(LAYER_BUDGET)]
     rep_cache: dict[tuple[int, int], bool] = {}
 
@@ -447,7 +447,7 @@ def find_low_conn_flat(m: Matroid, r_mask: int, cert: StackCert, k: int) -> Flat
     - k >= 3.  81 layers need r(M) >= 162 > core.MAX_GROUND.
     """
     if k < 0:
-        raise ValueError("need k >= 0")
+        raise InputError("need k >= 0")
     check = verify_stack(m, cert)
     if not check.ok:
         raise PremiseError(f"supplied certificate invalid: {check.reason}")

@@ -3,10 +3,15 @@
 import importlib
 import json
 import os
+import pkgutil
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import mdl
 from mdl.cli import main
 from mdl.errors import CapExceeded, PremiseError
 
@@ -143,6 +148,9 @@ def test_usage_errors(tmp_path, capsys):
         p.write_text(f"matroid m\nkind linear\nfield 2\n{bad}\nend\n")
         code, _, err = run(capsys, "rep", str(p), "--q", "2")
         assert code == 2 and f"{p}:4:" in err, (bad, err)
+    p.write_bytes(b"matroid m\nkind uniform\nparams 2 4\xff\nend\n")
+    code, _, err = run(capsys, "tau", str(p), "--a", "1")
+    assert code == 2 and err.startswith(f"error: {p}:3: not UTF-8 text:"), err
     # elements outside the ground set
     code, _, err = run(capsys, "conn", u28, "--x", "0,99", "--y", "1")
     assert code == 2 and "error:" in err and "99" in err
@@ -255,7 +263,8 @@ def _raising(exc):
     (PremiseError("premise refused"), 1, ""),
     (CapExceeded("cap hit"), 2, "error: cap hit"),
     (TypeError("a bug"), 3, "internal error: TypeError('a bug')"),
-], ids=["runtime", "premise", "cap", "type"])
+    (ValueError("a bug"), 3, "internal error: ValueError('a bug')"),
+], ids=["runtime", "premise", "cap", "type", "value"])
 def test_verify_verdict_policy(tmp_path, capsys, monkeypatch, suite, module, name, exc,
                                code, err):
     # the procedure a real suite calls raises: a PremiseError or a
@@ -306,3 +315,98 @@ def test_oversized_file_refused_before_building(tmp_path, capsys, text):
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and err.startswith(f"error: {f}:"), (code, err)
     assert elapsed < 0.1, elapsed
+
+
+def test_value_error_from_a_bug_is_internal_error(tmp_path, capsys, monkeypatch):
+    # only an InputError is a refusal; a plain ValueError is a bug
+    from mdl import covers
+
+    f = str(tmp_path / "u24.mtd")
+    run(capsys, "gen", "uniform", "2", "4", "-o", f)
+    monkeypatch.setattr(covers, "tau", _raising(ValueError("a bug")))
+    code, out, err = run(capsys, "tau", f, "--a", "1")
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError('a bug')\n"
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def python(*argv, cwd=None):
+    """A fresh `python argv...` process with this checkout's mdl on its path,
+    at most 1 GiB of address space and 20 s."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mdl.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=20, preexec_fn=_limit_memory)
+
+
+@pytest.mark.parametrize("params", [
+    ("linear_random", "-1", "5", "2"),
+    ("linear_random", "0", "5", "2"),
+    ("linear_random", "3", "-5", "2"),
+    ("linear_random", "3", "129", "2"),
+    ("linear_random", "129", "3", "2"),
+    ("pg", "-1", "2"),
+    ("pg", "9", "2"),
+    ("pg", "40", "2"),
+    ("pg", "3", "1000000000000000003"),
+    ("pg", "3"),
+    ("pg_plus_noise", "-1", "2", "4", "1"),
+    ("pg_plus_noise", "0", "2", "4", "1"),
+    ("pg_plus_noise", "3", "2", "4", "-1"),
+    ("pg_plus_noise", "5", "2", "4", "100"),
+    ("u24_tower", "33"),
+    ("uniform", "2", "x"),
+    ("fano", "1"),
+    ("direct_sum", "1", "2"),
+], ids=" ".join)
+def test_gen_refuses_bad_parameters(tmp_path, params):
+    # in a subprocess with a timeout, so that a generator that builds
+    # instead of refusing fails the test rather than hanging it
+    out = tmp_path / "out.mtd"
+    res = python("-m", "mdl.cli", "gen", *params, "-o", str(out))
+    assert res.returncode == 2 and res.stdout == "", (res.returncode, res.stderr)
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    assert not out.exists()
+
+
+# what each command adds to the modules `import mdl.cli` loads
+CLI_MODULES = {"mdl", "mdl.bits", "mdl.errors", "mdl.gf", "mdl.core", "mdl.catalog", "mdl.cli"}
+ALL_MODULES = {"mdl"} | {f"mdl.{m.name}" for m in pkgutil.iter_modules(mdl.__path__)}
+LOADS = [
+    ((), set()),
+    (("gen", "pg", "3", "2", "-o", "gen.mtd"), set()),
+    (("conn", "{f}", "--x", "0", "--y", "1"), set()),
+    (("round", "{f}"), set()),
+    (("tau", "{f}", "--a", "1"), {"mdl.covers"}),
+    (("tauw", "{f}", "--d", "2"), {"mdl.covers"}),
+    (("cover", "thm4", "{f}", "--a", "1", "--b", "4"), {"mdl.covers"}),
+    (("rep", "{f}", "--q", "2"), {"mdl.rep"}),
+    (("pg", "{f}", "--n", "3", "--q", "2"), {"mdl.rep"}),
+    (("round", "{f}", "--extract"), {"mdl.reduce", "mdl.covers"}),
+    (("stack", "find", "{f}", "--q", "2", "--h", "1", "--t", "2"),
+     {"mdl.stacks", "mdl.rep", "mdl.covers"}),
+    (("verify", "lem10", "--trials", "1"), ALL_MODULES - CLI_MODULES),
+    (("--help",), ALL_MODULES - CLI_MODULES),
+]
+PROBE = ("import sys, mdl.cli\n"
+         "if sys.argv[1:]:\n"
+         "    mdl.cli.main(sys.argv[1:])\n"
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mdl'))")
+
+
+@pytest.mark.parametrize("argv, adds", LOADS,
+                         ids=[" ".join(argv) or "import" for argv, _ in LOADS])
+def test_command_loads_only_its_modules(tmp_path, argv, adds):
+    # a fresh process: `import mdl.cli` loads no module a command may
+    # not need, and each command loads only the modules it runs
+    from mdl import catalog
+
+    f = str(tmp_path / "fano.mtd")
+    catalog.write_matroid(catalog.gen("fano"), f)
+    res = python("-c", PROBE, *(a.format(f=f) for a in argv), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert set(res.stdout.splitlines()[-1].split()) == CLI_MODULES | adds

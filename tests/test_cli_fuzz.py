@@ -3,6 +3,7 @@ internal error."""
 
 import contextlib
 import io
+import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,11 +42,26 @@ element_list = st.lists(st.integers(-2, 13), max_size=4).map(lambda xs: ",".join
 parts = st.lists(element_list, min_size=1, max_size=3).map("|".join)
 TYPED = {"--alpha": rationals, "--x": element_list, "--y": element_list, "--parts": parts}
 anything = st.one_of(ints, rationals, junk, element_list, parts)
+# gen: every family and two it refuses, small values, negatives and values
+# past the cap (MAX_GROUND = 128 elements, field orders up to 32)
+families = st.sampled_from(sorted(catalog.FAMILIES) + ["direct_sum", "klein"])
+gen_params = st.lists(st.one_of(st.integers(-2, 9).map(str), st.sampled_from(
+    ["16", "25", "129", "200", "1000000", "2" * 20]), anything), max_size=5)
+
+
+def gen_output(files):
+    """Where fuzzed gen writes: the fixture files' temporary directory."""
+    return os.path.join(os.path.dirname(files[0]), "gen.mtd")
 
 
 @st.composite
 def argv(draw, files):
-    command = draw(st.sampled_from(sorted(COMMANDS)))
+    command = draw(st.sampled_from(sorted(COMMANDS) + ["gen"]))
+    if command == "gen":
+        out = ["gen", draw(families)] + draw(gen_params) + ["-o", gen_output(files)]
+        if draw(st.booleans()):
+            out += ["--seed", draw(ints)]
+        return out + ["--json"] * draw(st.booleans())
     out = command.split() + [draw(st.sampled_from(files))]
     for opt in COMMANDS[command]:
         if draw(st.integers(0, 9)):  # now and then leave a required option out
@@ -69,12 +85,22 @@ def files(tmp_path_factory):
 
 
 def test_cli_exit_codes_under_fuzz(files):
-    fano = files[0]
+    fano, written = files[0], gen_output(files)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(argv(files))
     @example(["round", fano, "--extract", "--alpha", "1/0"])
     @example(["pg", fano, "--n", "3", "--q", "1"])
+    @example(["gen", "linear_random", "-1", "5", "2", "-o", written])
+    @example(["gen", "linear_random", "0", "5", "2", "-o", written])
+    @example(["gen", "pg_plus_noise", "0", "2", "4", "1", "-o", written])
+    @example(["gen", "pg", "40", "2", "-o", written])
+    @example(["gen", "pg", "9", "2", "-o", written])
+    @example(["gen", "pg", "-1", "2", "-o", written])
+    @example(["gen", "pg_plus_noise", "-1", "2", "4", "1", "-o", written])
+    @example(["gen", "direct_sum", "1", "2", "-o", written])
+    @example(["gen", "linear_random", "3", "-5", "2", "-o", written])
+    @example(["gen", "pg_plus_noise", "3", "2", "4", "-1", "-o", written])
     def check(args):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
