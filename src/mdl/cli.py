@@ -183,8 +183,7 @@ def cmd_stack(args) -> int:
     m = catalog.read_matroid(args.file)
     if args.action == "verify":
         if not args.parts:
-            print("stack verify needs --parts", file=sys.stderr)
-            return USAGE
+            raise InputError("stack verify needs --parts")
         parts = tuple(_parse_list(p, m) for p in args.parts.split("|"))
         cert = stacks.StackCert(parts, args.q, args.t)
         check = stacks.verify_stack(m, cert)

@@ -46,7 +46,7 @@ class CoverResult:
 
 @dataclass(frozen=True)
 class DensityParams:
-    """Shared parameter bundle of the density procedures."""
+    """Parameters of stacks.alpha_getstack, the density stack threshold."""
 
     a: int
     b: int
@@ -290,8 +290,9 @@ def kdensity_cover(m: Matroid, a: int, b: int) -> Cover:
 
     Base case (rank a+1): grow a maximal uniform restriction X and take
     the closures of its a-subsets.  Inductive case: contract a nonloop,
-    cover the contraction, then refine each lifted rank-(a+1) class by
-    the base case.  Requires no U_{a+1,b} restriction to surface; if one
+    cover the contraction, then refine each lifted class by the base
+    case: above rank a every member has rank exactly a, so a lifted
+    class has rank a+1.  Requires no U_{a+1,b} restriction to surface; if one
     does, UniformMinorDetected carries the witness.
     """
     if not 1 <= a < b:
@@ -310,12 +311,7 @@ def kdensity_cover(m: Matroid, a: int, b: int) -> Cover:
     sub = kdensity_cover(m.contract(1 << e), a, b)
     out: set[int] = set()
     for f in sub.sets:
-        g = f | (1 << e)
-        mg = m.restrict(g)
-        if mg.rank() <= a:
-            out.add(g)
-        else:
-            out.update(kdensity_cover(mg, a, b).sets)
+        out.update(kdensity_cover(m.restrict(f | (1 << e)), a, b).sets)
     return Cover(tuple(sorted(out)), m)
 
 

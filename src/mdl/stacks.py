@@ -9,15 +9,17 @@ every procedure here re-verifies its own output before returning it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import rep
 from .bits import bits, indices_of, mask_of
-from .core import Matroid, MinorMatroid, parallel_extension
-from .covers import DensityParams, tau_weighted
+from .core import Matroid, parallel_extension
 from .errors import CapExceeded, InputError, PremiseError, cap_override
+
+if TYPE_CHECKING:
+    from .covers import DensityParams
 
 LAYER_BUDGET = 1_000_000
 
@@ -168,10 +170,6 @@ def find_stack(m: Matroid, q: int, h: int, t: int) -> StackCert | None:
     return certify(m, parts, q, t)
 
 
-def _contract_mask(m: Matroid) -> int:
-    return m.contracted if isinstance(m, MinorMatroid) else 0
-
-
 def project_stack(m: Matroid, cert: StackCert, c: int, k: int) -> StackCert:
     """Survive a projection: a k(r(C)+1)-layer stack yields a k-layer
     stack of (M/C)|E(S) inside the original stack's ground.
@@ -268,7 +266,24 @@ def skew_stack(m: Matroid, cert: StackCert, x: int, a: int) -> tuple[int, StackC
 
 def alpha_getstack(params: DensityParams) -> Fraction:
     """Density threshold recursion: alpha(0) = lam and
-    alpha(h) = d^(a+1) * alpha(h-1) taken at lam * q^(a+1)."""
+    alpha(h) = d^(a+1) * alpha(h-1) taken at lam * q^(a+1), so
+    alpha(h) = lam * (dq)^((a+1)h).
+
+    Only the threshold is implemented.  The density stack recursion on
+    it (d > max(q+1, C(b-1,a)), lam >= 1) returns its input at h = 0,
+    and at h >= 1 no matroid within core.MAX_GROUND = 128 elements
+    meets its premise tau^d(M) >= alpha * q^r(M):
+
+    - h >= 1 and lam >= 1 give alpha >= (dq)^(a+1).
+    - tau_weighted always has the cover {E}, of weight d^r, and for
+      r >= 1 the cover by the points, of weight d * eps(M) <= d|E|.  So
+      tau^d(M) <= min(d^r, d|E|), and r = 0 has tau^d(M) <= 1 < alpha.
+    - The premise so needs d^a q^(a+1+r) <= 128 and d^(r-a-1) >= q^(r+a+1).
+    - d > q+1 gives d >= 4, so the first needs 2^(3a+1+r) <= 2^7:
+      only a = 1 with r <= 3 is left.
+    - For a = 1 the second fails for r <= 2.  For r = 3 it needs
+      d >= q^5 >= 32, but the first then gives d <= 128 / q^5 <= 4.
+    """
     a, d, q = params.a, params.d, params.q
 
     def recur(h: int, lam: Fraction) -> Fraction:
@@ -277,96 +292,6 @@ def alpha_getstack(params: DensityParams) -> Fraction:
         return d ** (a + 1) * recur(h - 1, lam * q ** (a + 1))
 
     return recur(params.h, Fraction(params.lam))
-
-
-@dataclass(frozen=True)
-class GetstackResult:
-    minor: Matroid
-    cert: StackCert
-
-
-@dataclass(frozen=True)
-class GetstackFailure:
-    reason: str
-
-    def __bool__(self):
-        return False
-
-
-def _claim_step(cur: Matroid, e: int, q: int, d: int, a: int) -> int | None:
-    """Locate X with rank <= a+1 whose restriction is not
-    GF(q)-representable, via d-minimal covers of M and M/e.
-
-    A cover member of rank >= 2 is d-thick, hence carries a long-line
-    minor (Case 2); if both covers use only rank-1 sets, some line
-    through e must hold q+1 further points (Case 1).  Candidates are
-    verified against the representability oracle before being returned.
-    """
-    be = 1 << e
-    cov_m = tau_weighted(cur, d).cover
-    cov_me = tau_weighted(cur.contract(be), d).cover
-    contraction = cur.contract(be)
-    for fl in cov_m.sets:
-        if cur.rank(fl) >= 2:
-            if not rep.is_representable(cur.restrict(fl), q).representable:
-                return fl
-    for fl in cov_me.sets:
-        if contraction.rank(fl) >= 2:
-            x = fl | be
-            if not rep.is_representable(cur.restrict(x), q).representable:
-                return x
-    for ln in cur.flats_of_rank(2):
-        if (ln >> e) & 1 and cur.restrict(ln).epsilon() >= q + 2:
-            if not rep.is_representable(cur.restrict(ln), q).representable:
-                return ln
-    return None
-
-
-def getstack(m: Matroid, params: DensityParams) -> GetstackResult | GetstackFailure:
-    """Find a contraction-minor N with an (h, q, a+1)-stack restriction
-    and tau^d(N) >= lam * q^r(N), or fail explicitly."""
-    a, b, q, d, h = params.a, params.b, params.q, params.d, params.h
-    lam = Fraction(params.lam)
-    if d <= max(q + 1, math.comb(b - 1, a)):
-        raise PremiseError("need d > max(q+1, C(b-1,a))")
-    if lam < 1:
-        raise PremiseError("the recursion is stated for lam >= 1")
-    alpha = alpha_getstack(params)
-    if tau_weighted(m, d).value < alpha * q ** m.rank():
-        return GetstackFailure("premise not met: tau^d(M) < alpha * q^r(M)")
-    if h == 0:
-        return GetstackResult(m, StackCert((), q, a + 1))
-
-    cur = m
-    while True:
-        for e in bits(cur.nonloops()):
-            nxt = cur.contract(1 << e)
-            if tau_weighted(nxt, d).value >= alpha * q ** nxt.rank():
-                cur = nxt
-                break
-        else:
-            break
-    nl = cur.nonloops()
-    if nl == 0:
-        return GetstackFailure("premise degenerate: contraction-minimal minor has no nonloop")
-    e = (nl & -nl).bit_length() - 1
-    x = _claim_step(cur, e, q, d, a)
-    if x is None:
-        return GetstackFailure(
-            "claim failed: no non-representable set of rank <= a+1 located")
-    sub_params = DensityParams(a=a, b=b, q=q, d=d, t=params.t, h=h - 1,
-                               lam=lam * q ** (a + 1))
-    deeper = getstack(cur.contract(x), sub_params)
-    if isinstance(deeper, GetstackFailure):
-        return GetstackFailure(f"recursion at h={h - 1}: {deeper.reason}")
-    cur_x = cur.contract(x)
-    c_rel = _contract_mask(deeper.minor) & ~_contract_mask(cur_x)
-    bc = cur_x.basis_of(c_rel)
-    n = cur.contract(bc)
-    cert = certify(n, (x,) + deeper.cert.parts, q, t=a + 1)
-    if tau_weighted(n, d).value < lam * q ** n.rank():
-        return GetstackFailure("result failed the final density check")
-    return GetstackResult(n, cert)
 
 
 @dataclass(frozen=True)

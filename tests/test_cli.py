@@ -159,6 +159,8 @@ def test_usage_errors(tmp_path, capsys):
     code, out, err = run(capsys, "stack", "verify", tower, "--q", "2", "--t", "2",
                          "--parts", "0,1,2,3|4,99")
     assert code == 2 and "valid=" not in out and "99" in err
+    code, out, err = run(capsys, "stack", "verify", tower, "--q", "2", "--t", "2")
+    assert code == 2 and out == "" and err == "error: stack verify needs --parts\n"
     # a negative rank or a trial count below one is refused, not answered
     code, out, _ = run(capsys, "tau", tower, "--a", "-1")
     assert code == 2 and "tau=" not in out
@@ -388,7 +390,7 @@ LOADS = [
     (("pg", "{f}", "--n", "3", "--q", "2"), {"mdl.rep"}),
     (("round", "{f}", "--extract"), {"mdl.reduce", "mdl.covers"}),
     (("stack", "find", "{f}", "--q", "2", "--h", "1", "--t", "2"),
-     {"mdl.stacks", "mdl.rep", "mdl.covers"}),
+     {"mdl.stacks", "mdl.rep"}),
     (("verify", "lem10", "--trials", "1"), ALL_MODULES - CLI_MODULES),
     (("--help",), ALL_MODULES - CLI_MODULES),
 ]

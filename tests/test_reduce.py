@@ -51,6 +51,29 @@ def test_reduce_connectivity_postconditions_many():
             assert lhs >= rhs
 
 
+def test_reduce_connectivity_fallback():
+    # the preimage of the most-covering member misses a postcondition
+    # here, and the fallback member (largest tau of its preimage) meets both
+    m = catalog.gen("linear_random", (3, 13, 3), seed=981702714)
+    y, a, b = mask_of([0, 5]), 1, 5
+    by = m.basis_of(y)
+    extend = by
+    for e in bits(m.ground & ~y):
+        if m.rank(extend | (1 << e)) > m.rank(extend):
+            extend |= 1 << e
+    ind = extend & ~by
+    cover = covers.tau(m.contract(ind), a).cover
+    first = max(cover.sets, key=lambda f: (f.bit_count(), -f)) | ind
+    target = Fraction(covers.tau(m, a).value, math.comb(b - 1, a) ** (m.rank(y) - a))
+
+    def meets(x):
+        return m.local_conn(x, y) <= a and covers.tau(m.restrict(x), a).value >= target
+
+    assert not meets(first)
+    x = reductions.reduce_connectivity(m, y, a, b)
+    assert x == mask_of([0, 1, 6, 10, 11]) and meets(x)
+
+
 # -- weakly round restriction ------------------------------------------------
 
 

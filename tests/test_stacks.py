@@ -1,11 +1,12 @@
 """Stack verification, search, projection, skewing, and flat extraction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mdl import catalog, covers, gf, rep, stacks
+from mdl import catalog, core, covers, gf, stacks
 from mdl.bits import bits, mask_of, submasks
 from mdl.core import LinearMatroid, UniformMatroid, direct_sum, parallel_extension
 from mdl.covers import DensityParams
@@ -250,64 +251,48 @@ def test_alpha_single_unfolding_example():
     assert stacks.alpha_getstack(p) == 100
 
 
-# -- getstack ----------------------------------------------------------------------
+# -- the density recursion's premise ----------------------------------------------
 
 
-def test_getstack_h0_returns_input():
-    m = UniformMatroid(2, 4)
-    p = DensityParams(a=1, b=5, q=2, d=5, t=2, h=0, lam=Fraction(1))
-    out = stacks.getstack(m, p)
-    assert isinstance(out, stacks.GetstackResult)
-    assert out.minor is m
-    assert out.cert.parts == ()
+def premise_witnesses(max_ground):
+    """(a, b, q, d, h, lam, r) on criterion 12's grid at h >= 1 where
+    alpha * q^r is at most min(d^r, d * max_ground), the most that
+    tau^d of a rank-r matroid on max_ground elements can be."""
+    out = []
+    for a in (1, 2, 3):
+        for b in range(a + 1, 5):
+            for q in (2, 3, 4, 5):
+                d = max(q + 1, math.comb(b - 1, a)) + 1
+                for h in range(1, 7):
+                    for lam in (1, 2):
+                        p = DensityParams(a=a, b=b, q=q, d=d, t=2, h=h, lam=Fraction(lam))
+                        alpha = stacks.alpha_getstack(p)
+                        for r in range(max_ground + 1):
+                            # alpha * q^r grows with r: no larger r can fit
+                            if alpha * q ** r > d * max_ground:
+                                break
+                            if alpha * q ** r <= d ** r:
+                                out.append((a, b, q, d, h, lam, r))
+    return out
 
 
-def test_getstack_premise_not_met():
-    m = UniformMatroid(2, 4)
-    p = DensityParams(a=1, b=5, q=2, d=5, t=2, h=1, lam=Fraction(1))
-    out = stacks.getstack(m, p)
-    assert isinstance(out, stacks.GetstackFailure)
-    assert "premise" in out.reason
+def test_density_premise_unreachable_within_max_ground():
+    # alpha_getstack's proof: no matroid within MAX_GROUND meets the premise
+    assert premise_witnesses(core.MAX_GROUND) == []
+    # and the check can fail: 1024 elements would leave room at rank 6,
+    # where 64 * 2^6 = 4^6 = 4 * 1024
+    assert (1, 2, 2, 4, 1, 1, 6) in premise_witnesses(1024)
 
 
-def test_getstack_parameter_validation():
-    m = UniformMatroid(2, 4)
-    with pytest.raises(PremiseError):
-        stacks.getstack(m, DensityParams(a=1, b=5, q=2, d=4, t=2, h=1, lam=Fraction(1)))
-    with pytest.raises(PremiseError):
-        stacks.getstack(m, DensityParams(a=1, b=5, q=2, d=5, t=2, h=1,
-                                         lam=Fraction(1, 2)))
-
-
-def test_claim_step_case1_long_line():
-    # all-rank-1 covers force the line search; U_{2,4} has one through 0
-    m = UniformMatroid(2, 4)
-    x = stacks._claim_step(m, 0, 2, 5, 1)
-    assert x == m.ground
-    assert not rep.is_representable(m.restrict(x), 2).representable
-
-
-def test_claim_step_case2_thick_member():
-    # with d=5 the whole rank-2 ground beats six singletons in the cover
-    m = UniformMatroid(2, 6)
-    cover = covers.tau_weighted(m, 5).cover
-    assert any(m.rank(f) >= 2 for f in cover.sets)
-    x = stacks._claim_step(m, 0, 2, 5, 1)
-    assert m.rank(x) == 2
-    assert not rep.is_representable(m.restrict(x), 2).representable
-
-
-def test_claim_step_five_point_line_gf3():
-    # a point on a five-point line beats GF(3): the line itself is the witness
-    m = UniformMatroid(2, 5)
-    x = stacks._claim_step(m, 0, 3, 5, 1)
-    assert x == m.ground
-    assert not rep.is_representable(m.restrict(x), 3).representable
-
-
-def test_claim_step_no_candidate():
-    fano = catalog.gen("pg", (3, 2))  # binary: nothing non-representable
-    assert stacks._claim_step(fano, 0, 2, 5, 1) is None
+def test_tau_weighted_within_the_proof_bound():
+    # the proof's upper bound: the cover {E} and the cover by the points
+    for name, params, seed in [("linear_random", (3, 9, 2), 0), ("linear_random", (3, 9, 2), 1),
+                               ("linear_random", (4, 10, 3), 2), ("pg_plus_noise", (3, 2, 4, 2), 1),
+                               ("uniform", (2, 5), 0), ("u24_tower", (2,), 0), ("pg", (3, 2), 0)]:
+        m = catalog.gen(name, params, seed=seed)
+        for d in (1, 2, 4, 5, 9):
+            bound = min(d ** m.rank(), d * m.epsilon())
+            assert covers.tau_weighted(m, d).value <= bound, (name, params, seed, d)
 
 
 # -- no-stack-in-projection ----------------------------------------------------------
