@@ -296,7 +296,16 @@ class MinorMatroid(Matroid):
 
 
 class DirectSumMatroid(Matroid):
-    """Direct sum; parts are reindexed consecutively by live element order."""
+    """Direct sum; parts are reindexed consecutively by live element order.
+
+    Part i's live elements, in increasing order, become the elements
+    offset_i, offset_i + 1, ... of the sum.  A closure of the sum is the
+    union of its parts' closures, and the flats covering a flat add one
+    class of one part, so `_spanned` and `_classes` split their sets by
+    part, ask each part for its own answer (a linear part eliminates, a
+    uniform one closes in O(1)) and map the answers back through tables
+    built once.  Minors of a sum reach both through their base.
+    """
 
     kind = "direct_sum"
 
@@ -304,41 +313,62 @@ class DirectSumMatroid(Matroid):
         if not parts:
             raise InputError("direct sum needs at least one part")
         self.parts = tuple(parts)
-        offsets = []
-        n = 0
+        super().__init__(sum(part.size() for part in self.parts))
+        # per part: its block's offset and width mask, the local bit of
+        # each block position, and the global bit of each local element
+        self._blocks = []
+        off = 0
         for part in self.parts:
-            offsets.append(n)
-            n += part.size()
-        super().__init__(n)
-        self._offsets = offsets
-        self._locate = [(pi, e) for pi, part in enumerate(self.parts) for e in part.elements()]
+            live = indices_of(part.ground)
+            to_global = [0] * part.n
+            for j, e in enumerate(live):
+                to_global[e] = 1 << (off + j)
+            self._blocks.append((off, (1 << len(live)) - 1, [1 << e for e in live], to_global))
+            off += len(live)
 
     def _split(self, x: int) -> list[int]:
-        local = [0] * len(self.parts)
-        for g in bits(x):
-            pi, e = self._locate[g]
-            local[pi] |= 1 << e
+        local = []
+        for off, width, to_local, _ in self._blocks:
+            chunk = (x >> off) & width
+            lm = 0
+            while chunk:
+                low = chunk & -chunk
+                lm |= to_local[low.bit_length() - 1]
+                chunk ^= low
+            local.append(lm)
         return local
 
-    def _join(self, local: Sequence[int]) -> int:
+    def _lift(self, i: int, lm: int) -> int:
+        """Part i's local subset lm as a subset of the sum."""
+        to_global = self._blocks[i][3]
         out = 0
-        for pi, lm in enumerate(local):
-            if not lm:
-                continue
-            part = self.parts[pi]
-            g = self._offsets[pi]
-            for e in part.elements():
-                if lm & (1 << e):
-                    out |= 1 << g
-                g += 1
+        while lm:
+            low = lm & -lm
+            out |= to_global[low.bit_length() - 1]
+            lm ^= low
         return out
 
     def _rank_impl(self, x: int) -> int:
         return sum(part.rank(lm) for part, lm in zip(self.parts, self._split(x)))
 
     def closure(self, x: int) -> int:
-        local = self._split(x)
-        return self._join([part.closure(lm) for part, lm in zip(self.parts, local)])
+        return x | self._spanned(x, self.ground & ~x)
+
+    def _spanned(self, x: int, mask: int) -> int:
+        out = 0
+        for i, (part, xl, ml) in enumerate(zip(self.parts, self._split(x), self._split(mask))):
+            if ml:
+                out |= self._lift(i, part._spanned(xl, ml))
+        return out
+
+    def _classes(self, x: int, mask: int) -> list[int]:
+        # parts occupy ascending blocks and keep their elements' order,
+        # so part by part their groups stay in order of least elements
+        out = []
+        for i, (part, xl, ml) in enumerate(zip(self.parts, self._split(x), self._split(mask))):
+            if ml:
+                out.extend(self._lift(i, g) for g in part._classes(xl, ml))
+        return out
 
 
 class ParallelExtensionMatroid(Matroid):

@@ -193,6 +193,10 @@ def tau(m: Matroid, a: int) -> CoverResult:
 
     Convention: the empty matroid has tau = 0; a = 0 with a nonloop
     present yields the +inf sentinel rather than an error.
+
+    The search always finds a cover: for 1 <= a < r every representative
+    point lies in its own rank-1 flat, and every rank-1 flat lies in a
+    rank-a flat, which is a candidate.
     """
     if m.ground == 0:
         return CoverResult(0, Cover((), m))
@@ -211,13 +215,16 @@ def tau(m: Matroid, a: int) -> CoverResult:
         raise CapExceeded(f"tau: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
     universe = _representative_universe(m)
     value, sel = _min_cover(universe, cands, [1] * len(cands))
-    if sel is None:
-        return CoverResult(INF, None)
     return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel)), m))
 
 
 def tau_weighted(m: Matroid, d: int) -> CoverResult:
-    """Exact minimum d-weight of a cover, with a d-minimal certificate."""
+    """Exact minimum d-weight of a cover, with a d-minimal certificate.
+
+    The search always finds a cover: every representative point lies in
+    its own rank-1 flat, and no rank-1 flat is dropped from the
+    candidates (only flats of rank 0, or of rank above 1, can be).
+    """
     if d < 1:
         raise InputError("need d >= 1")
     if m.ground == 0:
@@ -247,8 +254,6 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
         raise CapExceeded(
             f"tau_weighted: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
     value, sel = _min_cover(universe, cands, weights)
-    if sel is None:
-        return CoverResult(INF, None)
     return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel)), m))
 
 

@@ -10,8 +10,13 @@ Remaining elements are assigned in order of decreasing constraint
 lines and higher flats through already-assigned elements.  Those filters
 are necessary conditions only, so a completed assignment counts solely
 after every flat of the input is re-checked to be a flat of the same
-rank among the assigned columns, which forces equal rank functions;
-"False" means the normalized search space was exhausted.
+rank among the assigned columns, which forces equal rank functions.
+
+"False" is answered before any candidate is tried when the
+simplification has more points than PG(r-1, q), or a line with more
+than q+1 points: such a line is a U_{2,q+2} restriction, and PG(1, q)
+has only q+1 points.  Otherwise it means the normalized search space
+was exhausted.
 """
 
 from __future__ import annotations
@@ -93,6 +98,9 @@ def is_representable(m: Matroid, q: int) -> RepResult:
     points = gf.normalized_vectors(f, r)
     if npts > len(points):
         return RepResult(False, None)
+    lines = simp.flats_of_rank(2)
+    if any(ln.bit_count() > f.q + 1 for ln in lines):
+        return RepResult(False, None)  # a U_{2,q+2} restriction
 
     add_t, mul_t = f.add_table, f.mul_table
 
@@ -124,7 +132,6 @@ def is_representable(m: Matroid, q: int) -> RepResult:
 
     basis = simp.basis_of(simp.ground)
     basis_els = sorted(bits(basis))
-    lines = simp.flats_of_rank(2)
     line_count = {e: 0 for e in els}
     lines_through = {e: [] for e in els}
     for ln in lines:

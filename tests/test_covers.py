@@ -430,3 +430,35 @@ def test_cover_node_cap(tmp_path, monkeypatch, capsys):
         covers.tau(m, 2)
     assert main(["tau", f, "--a", "2"]) == 2
     assert "node budget" in capsys.readouterr().err
+
+
+def test_every_universe_element_has_a_candidate(monkeypatch):
+    """tau and tau_weighted never hand `_min_cover` a representative
+    point that no candidate covers, so they need no INF fallback: on
+    matroids with loops, direct sums and contractions."""
+    seen = []
+    search = covers._min_cover
+
+    def checked(universe, cands, weights):
+        union = 0
+        for c in cands:
+            union |= c
+        assert universe & ~union == 0
+        seen.append(universe)
+        return search(universe, cands, weights)
+
+    monkeypatch.setattr(covers, "_min_cover", checked)
+    rng = random.Random(2718)
+    corpus = [direct_sum([UniformMatroid(2, 4), UniformMatroid(0, 2), catalog.gen("pg", (3, 2))]),
+              direct_sum([UniformMatroid(1, 3), UniformMatroid(3, 4)])]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = random_linear(rng.randrange(2 ** 32), q, rng.randint(2, 4), rng.randint(5, 8))
+        cols = list(m.matrix.columns()) + [(0,) * m.matrix.rows]
+        corpus.append(LinearMatroid(gf.Matrix.from_columns(m.field, cols, m.matrix.rows)))
+    corpus += [m.contract(1 << rng.choice(list(bits(m.nonloops())))) for m in list(corpus)]
+    for m in corpus:
+        for a in range(1, m.rank()):
+            covers.tau(m, a)
+        for d in (1, 2, 3):
+            covers.tau_weighted(m, d)
+    assert len(seen) > 2 * len(corpus)

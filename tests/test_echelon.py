@@ -6,6 +6,8 @@ any other one raises the rank by 1 and multiplies the set by q.  Linear
 matroids built on the kernel must agree with a matroid whose rank oracle
 is that reference and whose closure and flats come from the generic
 `Matroid` scans, on a seeded corpus with loops and parallel columns.
+So must direct sums, which answer closures and flat steps part by part,
+against a sum ranked part by part with those same scans.
 """
 
 import random
@@ -14,7 +16,8 @@ import pytest
 
 from mdl import catalog, gf
 from mdl.bits import bits, mask_of
-from mdl.core import LinearMatroid, Matroid, UniformMatroid, direct_sum, parallel_extension
+from mdl.core import (DirectSumMatroid, LinearMatroid, Matroid, UniformMatroid, direct_sum,
+                      parallel_extension)
 
 QS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -219,3 +222,90 @@ def test_vector_encoding():
     assert gf.vector(gf.field(3), [2, 0, 1]) == (2, 0, 1)
     # plain GF(2) tuples still rank through the public wrapper
     assert gf.rank_of_vectors(gf.field(2), [(1, 0, 1), (0, 1, 1), (1, 1, 0)]) == 2
+
+
+class SumReference(Matroid):
+    """Direct sum ranked part by part through an element-by-element map,
+    with the base class scans for everything else."""
+
+    kind = "sum_reference"
+
+    def __init__(self, parts):
+        self.where = [(part, e) for part in parts for e in bits(part.ground)]
+        super().__init__(len(self.where))
+        self.parts = parts
+
+    def _rank_impl(self, x):
+        local = {id(part): 0 for part in self.parts}
+        for g in bits(x):
+            part, e = self.where[g]
+            local[id(part)] |= 1 << e
+        return sum(part.rank(local[id(part)]) for part in self.parts)
+
+
+def sum_corpus(q):
+    """Direct sums over GF(q), each as (sum, reference): uniform parts
+    (loops and parallel classes among them), linear parts with a loop and
+    a parallel column, a minor with holes in its live elements, an empty
+    part and a nested sum.  Every part is in both; each nested sum is
+    rebuilt as a SumReference in the reference."""
+    rng = random.Random(5150 + q)
+    lin = corpus(q)
+
+    def minor_of(m):
+        live = list(bits(m.ground))
+        c = mask_of(rng.sample(live, 1))
+        d = mask_of(rng.sample([e for e in live if not c >> e & 1], 2))
+        return m.contract(c).delete(d)
+
+    a, b, c = lin[:3]
+    holed = minor_of(lin[rng.randrange(3)])
+    inner = [UniformMatroid(1, 2), minor_of(a)]
+    sums = [[a, UniformMatroid(0, 1), UniformMatroid(1, 2)],
+            [UniformMatroid(2, 3), b, UniformMatroid(0, 0)],
+            [c, UniformMatroid(3, 3), c.delete(c.ground)],
+            [holed, UniformMatroid(1, 2)]]
+    out = [(direct_sum(parts), SumReference(parts)) for parts in sums]
+    out.append((direct_sum([direct_sum(inner), holed]),
+                SumReference([SumReference(inner), holed])))
+    return out
+
+
+def check_direct_sum(m, ref, rng):
+    assert m.ground == ref.ground and m.rank() == ref.rank()
+    for _ in range(25):
+        x = rng.getrandbits(m.n) & rng.getrandbits(m.n) & m.ground
+        mask = rng.getrandbits(m.n) & m.ground
+        cl = ref.closure(x)
+        assert m.closure(x) == cl
+        assert m._spanned(x, mask) == ref._spanned(x, mask)
+        outside = m.ground & ~cl
+        for sub in (outside, outside & mask):
+            assert m._classes(x, sub) == ref._classes(x, sub) == grouped_by_closure(ref, x, sub)
+    for k in range(m.rank() + 2):
+        assert m.flats_of_rank(k) == ref.flats_of_rank(k), k
+
+
+@pytest.mark.parametrize("q", QS)
+def test_direct_sum_matches_rank_reference(q):
+    """Closures, spans, flat steps (groups and their order) and flats of
+    direct sums and of their minors equal the generic scans'."""
+    rng = random.Random(7000 + q)
+    for m, ref in sum_corpus(q):
+        check_direct_sum(m, ref, rng)
+        for minor in nested_minors(m, rng):
+            check_direct_sum(minor(m), minor(ref), rng)
+
+
+def test_direct_sum_flats_take_one_closure(monkeypatch):
+    """flats_of_rank of a direct sum closes only the empty set: every flat
+    step goes to the parts' `_classes`."""
+    calls = []
+    closure = DirectSumMatroid.closure
+    monkeypatch.setattr(DirectSumMatroid, "closure", lambda self, x: calls.append(x) or closure(self, x))
+    for q in (2, 5):
+        for m, ref in sum_corpus(q):
+            calls.clear()
+            for k in range(m.rank() + 1):
+                m.flats_of_rank(k)
+            assert calls == [0]

@@ -1,11 +1,12 @@
 """Representability oracle vs an independent exhaustive enumerator."""
 
+import hashlib
 import random
 
 import pytest
 
-from mdl import catalog, gf, rep
-from mdl.bits import bits, submasks
+from mdl import catalog, gf, harness, rep
+from mdl.bits import bits, mask_of, submasks
 from mdl.core import LinearMatroid, UniformMatroid
 from mdl.errors import CapExceeded
 
@@ -232,3 +233,73 @@ def test_rank_functions_match_against_all_subsets():
             assert rep._rank_functions_match(simp, f, assign) == want, (q, assign)
             verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+def long_line_corpus():
+    """Seeded (label, matroid, q) inputs for the long-line exit.
+
+    linear_random matroids checked over their own field (all True);
+    lem7-style GF(4) block stacks, contracted and restricted to a run of
+    blocks (layers of rank 2 to 5), checked over GF(2) and GF(3); and
+    restrictions of PG(2,4) and PG(2,3) checked over GF(2).
+    """
+    rng = random.Random(1313)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for r in (2, 3, 3, 4) if q <= 4 else (2, 3):
+            n = rng.randint(r + 1, 9 if q <= 4 else 8)
+            seed = rng.randrange(2 ** 32)
+            yield f"linear_random {r} {n} {q} seed {seed}", \
+                catalog.gen("linear_random", (r, n, q), seed=seed), q
+    for nblocks in (2, 3):
+        extras = [[b] for b in rng.sample(range(nblocks), 2)] + [[0, nblocks - 1]]
+        m, parts = harness._blocks_matroid(nblocks, extras, loops=1)
+        # contract nothing, the loop, or one extra column: a contracted
+        # extra folds the blocks it is supported on
+        for c in [0] + [1 << e for e in bits(m.ground & ~mask_of(range(4 * nblocks)))]:
+            mc = m.contract(c)
+            for lo in range(nblocks):
+                for hi in range(lo + 1, nblocks + 1):
+                    layer = mc.restrict(sum(parts[lo:hi]) & mc.ground)
+                    if 2 <= layer.rank() <= rep.MAX_RANK:
+                        for q in (2, 3):
+                            yield f"blocks {nblocks} {extras} c={c} {lo}:{hi} q={q}", layer, q
+    for n, q in ((3, 4), (3, 3)):
+        pg = catalog.gen("pg", (n, q))
+        for size in (4, 6, 8, 10):
+            keep = mask_of(rng.sample(list(bits(pg.ground)), size))
+            yield f"pg {n} {q} keep {keep:#x}", pg.restrict(keep), 2
+
+
+# verdict_digest() as the plain search gave it, before the long-line exit
+LONG_LINE_DIGEST = "dd558756f03bdd1741f8af9f1510c4ec213e57fc2f8f8b6e2914e32ff6f44232"
+
+
+def verdict_digest():
+    """sha256 of every input's verdict and matrix, one line per input."""
+    h = hashlib.sha256()
+    for label, m, q in long_line_corpus():
+        res = rep.is_representable(m, q)
+        cols = res.matrix.columns() if res.matrix is not None else None
+        h.update(f"{label}|{res.representable}|{cols}\n".encode())
+    return h.hexdigest()
+
+
+def test_long_line_exit_keeps_verdicts_and_matrices():
+    """The same verdicts and matrices as the plain search gives."""
+    assert verdict_digest() == LONG_LINE_DIGEST
+
+
+def test_long_line_never_reaches_the_search(monkeypatch):
+    """With no node allowed, inputs with a line of more than q+1 points
+    still answer False, while one without such a line hits the budget."""
+    monkeypatch.setattr(rep, "NODE_CAP", 0)
+    long_lines = [(UniformMatroid(2, 4), 2), (UniformMatroid(2, 5), 3), (UniformMatroid(2, 10), 8),
+                  (catalog.gen("pg", (3, 3)), 2), (catalog.gen("pg", (3, 4)), 3)]
+    for label, m, q in long_line_corpus():
+        if any(ln.bit_count() > q + 1 for ln in m.simplify()[0].flats_of_rank(2)):
+            long_lines.append((m, q))
+    assert len(long_lines) > 20
+    for m, q in long_lines:
+        assert rep.is_representable(m, q) == rep.RepResult(False, None)
+    with pytest.raises(CapExceeded):
+        rep.is_representable(catalog.gen("pg", (3, 2)), 3)
