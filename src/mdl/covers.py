@@ -21,8 +21,9 @@ from .errors import CapExceeded, InputError, PremiseError, UniformMinorDetected
 INF = math.inf
 
 # honest desk-scale boundaries for the exact cover search: candidate
-# sets, and nodes the branch and bound expands (fixed; 20x and more above
-# the largest search in use, tau(pg(5,2), 2) at about 204,000 nodes)
+# sets, and nodes the branch and bound expands, each evaluation of its
+# fractional bound charged as the nodes it costs (fixed; 400x and more
+# above tau(pg(5,2), 2) at about 12,000 of them)
 CANDIDATE_CAP = 5000
 COVER_NODE_CAP = 5_000_000
 
@@ -82,6 +83,42 @@ def _representative_universe(m: Matroid) -> int:
     return reps
 
 
+def _bound_scale(s: int) -> list[int]:
+    """[0, L, L/2, ..., L/s] with L = lcm(1..s): the common denominator
+    of every share w_S / |S & U| that `_fractional_bound` adds up."""
+    top = math.lcm(*range(1, s + 1))
+    return [0] + [top // k for k in range(1, s + 1)]
+
+
+def _fractional_bound(uncovered: int, cands: list[int], weights: list[int],
+                      scale: list[int]) -> int:
+    """Least weight that any cover of `uncovered` by `cands` still needs.
+
+    y_e = min over candidates S through e of w_S / |S & uncovered| is a
+    feasible packing of the covering LP's dual (every S collects at most
+    w_S), so the ceiling of sum y_e bounds every cover from below
+    (Lovasz 1975, Chvatal 1979).  Candidates meeting `uncovered` are
+    bucketed by their share in units of 1/L, L = scale[1], and each
+    element takes the least bucket it lies in.  `scale` is
+    _bound_scale(s) for an s no smaller than any |S & uncovered|.
+    """
+    buckets: dict[int, int] = {}
+    for c, w in zip(cands, weights):
+        k = (c & uncovered).bit_count()
+        if k:
+            v = w * scale[k]
+            buckets[v] = buckets.get(v, 0) | c
+    total = 0
+    for v in sorted(buckets):
+        hit = buckets[v] & uncovered
+        if hit:
+            total += v * hit.bit_count()
+            uncovered &= ~hit
+            if not uncovered:
+                break
+    return -(-total // scale[1])
+
+
 def _min_cover(universe: int, cands: list[int], weights: list[int]):
     """Deterministic branch-and-bound exact weighted set cover.
 
@@ -101,13 +138,22 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
        incumbent: later options cover no more and weigh no less;
     4. an incumbent meeting the root bound ends the search: a node with
        k sets chosen weighs at least k min weights and has covered at
-       most k * s elements, so rule 3 stops every open node.
+       most k * s elements, so rule 3 stops every open node;
+    5. a node stops before descending into another child once its weight
+       plus `_fractional_bound` of what it leaves uncovered reaches the
+       incumbent.  That bound is not monotone in what a child covers, so
+       rules 2 to 4 keep lb.  It costs a scan of every candidate, so a
+       node evaluates it at most once, and only once the options scanned
+       in its own subtree number len(cands): leaves and small searches
+       never pay for it.  Each evaluation counts as
+       ceil(len(cands) / options at the node) nodes against the cap.
 
     Each rule cuts only subtrees holding no cover strictly lighter than
     the incumbent, and the branching order is that of the plain DFS, so
     the incumbents come in the same sequence as in the plain DFS and the
     certificate is the first optimum in DFS order.  Raises CapExceeded
-    once the search expands more than COVER_NODE_CAP nodes.
+    at the first node past COVER_NODE_CAP, nodes and charged bound
+    evaluations counted together.
     """
     if universe == 0:
         return 0, []
@@ -158,15 +204,20 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
     best_sel = greedy
     chosen: list[int] = []
     nodes = 0
+    scanned = 0
+    scale = None
 
     def dfs(uncovered: int, cur_w: int, i: int):
-        nonlocal best_w, best_sel, nodes
+        nonlocal best_w, best_sel, nodes, scanned, scale
         nodes += 1
         if nodes > COVER_NODE_CAP:
             raise CapExceeded(f"cover search exceeded its node budget {COVER_NODE_CAP}")
         while not uncovered & elem_bits[i]:
             i += 1
         keeps, ws, cis = options[i]
+        due = scanned + len(cands)
+        scanned += len(keeps)
+        floor = None
         rests = [(uncovered & k).bit_count() for k in keeps]
         for r in sorted(range(len(rests)), key=rests.__getitem__):
             rest = rests[r]
@@ -176,12 +227,19 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
             w = cur_w + ws[r]
             if w + bound >= best_w:
                 continue
-            chosen.append(cis[r])
-            if rest:
-                dfs(uncovered & keeps[r], w, i + 1)
-            else:
+            if not rest:
                 best_w = w
-                best_sel = list(chosen)
+                best_sel = chosen + [cis[r]]
+                continue
+            if floor is None and scanned >= due:
+                if scale is None:
+                    scale = _bound_scale(max_size)
+                floor = _fractional_bound(uncovered, cands, weights, scale)
+                nodes += -(-len(cands) // len(keeps))
+            if floor is not None and cur_w + floor >= best_w:
+                break
+            chosen.append(cis[r])
+            dfs(uncovered & keeps[r], w, i + 1)
             chosen.pop()
 
     dfs(universe, 0, 0)
