@@ -4,24 +4,49 @@ The searcher works on the simplification: loops map to the zero vector
 and parallel elements share a column, so representability of the input
 is representability of its simple quotient.  A basis of the matroid is
 pinned to identity columns and every other column is normalized to
-leading coordinate 1, removing basis-change and column-scaling freedom.
+leading coordinate 1, removing basis-change and column-scaling freedom:
+the columns are points of PG(r-1, q).  The search names a point by its
+index, its rank in lex order among the normalized vectors.  The index
+is computed, not looked up: the tail after the leading 1 read as a
+numeral in bijective base q, digit c counting as c + 1 (`_index`,
+`_vector`), so no list of the θ(r, q) = (q^r - 1)/(q - 1) points is
+built.  Candidates are tried in increasing index, which is lex order.
 Remaining elements are assigned in order of decreasing constraint
-(membership count in lines), with candidate vectors filtered by the
-lines and higher flats through already-assigned elements.  Those filters
-are necessary conditions only, so a completed assignment counts solely
-after every flat of the input is re-checked to be a flat of the same
-rank among the assigned columns, which forces equal rank functions.
+(membership count in lines).
+
+One span rule filters the candidates for every flat F of rank k,
+1 <= k < r.  Let A be the assigned elements.  Once F & A has rank k, F
+has an image, the span of the points of F & A, and an element e must
+lie in that image if e is in F and outside it otherwise.  For k = 1
+this says no two elements share a point; a line's image is the line
+through its first two points, and every later element of the line
+stays on it.  Both halves are sound.  When e is not in F, a point in
+the image puts e into the closure of F & A among the columns, but e is
+not in cl(F & A) = F; when e is in F, a point outside the image gives
+the columns of F & A + e rank k + 1 where the matroid has k.  Either
+way the final re-check rejects every completion.  So the rule removes
+only subtrees that contain no accepted leaf, and as the order of the
+candidates is kept, the first accepted leaf, and with it the matrix, is
+the one the search finds without the rule.  By induction on A the rule
+also keeps the rank function of the assigned columns equal to the
+matroid's on A (for X within A and e, the image of cl(X) is the span of
+X's columns), so the re-check rejects no leaf that the rule lets
+through.
+
+A completed assignment is still re-checked: every flat of the input must
+be a flat of the same rank among the assigned columns, which forces
+equal rank functions.
 
 "False" is answered before any candidate is tried when the
 simplification has more points than PG(r-1, q), or a line with more
 than q+1 points: such a line is a U_{2,q+2} restriction, and PG(1, q)
-has only q+1 points.  Otherwise it means the normalized search space
-was exhausted.
+has only q+1 points.  Otherwise it means the search was exhausted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import gf
 from .bits import bits
@@ -34,8 +59,6 @@ MAX_POINTS = 40
 # backtracking node budget before giving up honestly
 NODE_CAP = 2_000_000
 
-Vec = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class RepResult:
@@ -46,7 +69,8 @@ class RepResult:
         return self.representable
 
 
-def _rank_functions_match(simp: Matroid, f: gf.FiniteField, assign: dict[int, Vec]) -> bool:
+def _rank_functions_match(simp: Matroid, f: gf.FiniteField,
+                          assign: dict[int, tuple[int, ...]]) -> bool:
     """Exact equality of simp's rank function and that of its assigned columns.
 
     Checks that every flat F of simp, at every rank k, spans a column
@@ -62,6 +86,64 @@ def _rank_functions_match(simp: Matroid, f: gf.FiniteField, assign: dict[int, Ve
             if len(pivots) != k or gf.spanned(f, pivots, vecs, simp.ground & ~fl):
                 return False
     return True
+
+
+def _index(f: gf.FiniteField, w) -> int:
+    """The index of the point of the nonzero vector w."""
+    for i, a in enumerate(w):
+        if a:
+            break
+    row, q, x = f.mul_table[f.inv_table[a]], f.q, 0
+    for c in w[i + 1:]:
+        x = x * q + row[c] + 1
+    return x
+
+
+def _vector(p: int, q: int, r: int) -> tuple[int, ...]:
+    """The vector of length r, leading coordinate 1, of the point with index p."""
+    tail = []
+    while p:
+        p -= 1
+        tail.append(p % q)
+        p //= q
+    return (0,) * (r - 1 - len(tail)) + (1,) + tuple(reversed(tail))
+
+
+def _span(f: gf.FiniteField, r: int, pts) -> frozenset[int]:
+    """The indices of the points in the span of the points pts.
+
+    Each point p outside the span so far adds itself and the point of
+    u + c p for every vector u found so far and every nonzero c: a point
+    of the larger span outside the smaller one lies on one line through
+    p, which meets the smaller span in one point.  So every point is
+    found once, θ(k, q) in all for a span of rank k.
+    """
+    add_t, mul_t = f.add_table, f.mul_table
+    vecs: list = []
+    out: set[int] = set()
+    for p in pts:
+        if p in out:
+            continue
+        b = _vector(p, f.q, r)
+        multiples = [[mul_t[c][y] for y in b] for c in range(1, f.q)]
+        found = [b]
+        for u in vecs:
+            for cb in multiples:
+                found.append([add_t[x][y] for x, y in zip(u, cb)])
+        vecs += found
+        out.add(p)
+        out.update(_index(f, w) for w in found[1:])
+    return frozenset(out)
+
+
+@lru_cache(maxsize=1 << 13)
+def _line(q: int, r: int, a: int, b: int) -> frozenset[int]:
+    """The points of the line through points a < b of PG(r-1, q).
+
+    Kept across calls: `stacks.find_stack` asks the same spaces again
+    and again.
+    """
+    return _span(gf.field(q), r, (a, b))
 
 
 def is_representable(m: Matroid, q: int) -> RepResult:
@@ -81,7 +163,7 @@ def is_representable(m: Matroid, q: int) -> RepResult:
         raise CapExceeded(f"representability cap: {npts} points > {MAX_POINTS}")
     rows = max(r, 1)
 
-    def full_matrix(assign: dict[int, Vec]) -> gf.Matrix:
+    def full_matrix(assign: dict[int, tuple[int, ...]]) -> gf.Matrix:
         zero = (0,) * rows
         cols = []
         for e in range(m.n):
@@ -95,121 +177,80 @@ def is_representable(m: Matroid, q: int) -> RepResult:
         one = (1,) + (0,) * (rows - 1)
         return RepResult(True, full_matrix({e: one for e in els}))
 
-    points = gf.normalized_vectors(f, r)
-    if npts > len(points):
+    theta = (q ** r - 1) // (q - 1)  # the points of PG(r-1, q)
+    if npts > theta:
         return RepResult(False, None)
     lines = simp.flats_of_rank(2)
-    if any(ln.bit_count() > f.q + 1 for ln in lines):
+    if any(ln.bit_count() > q + 1 for ln in lines):
         return RepResult(False, None)  # a U_{2,q+2} restriction
-
-    add_t, mul_t = f.add_table, f.mul_table
-
-    def vadd(u: Vec, v: Vec) -> Vec:
-        return tuple(add_t[a][b] for a, b in zip(u, v))
-
-    def smul(c: int, u: Vec) -> Vec:
-        row = mul_t[c]
-        return tuple(row[a] for a in u)
-
-    def normalize(v: Vec) -> Vec:
-        for c in v:
-            if c:
-                return v if c == 1 else smul(f.inv_table[c], v)
-        return v
-
-    line_cache: dict[tuple[Vec, Vec], frozenset[Vec]] = {}
-
-    def image_line(u: Vec, v: Vec) -> frozenset[Vec]:
-        key = (u, v) if u < v else (v, u)
-        got = line_cache.get(key)
-        if got is None:
-            pts = {normalize(v)}
-            for c in range(f.q):
-                pts.add(normalize(vadd(u, smul(c, v))))
-            got = frozenset(pts)
-            line_cache[key] = got
-        return got
 
     basis = simp.basis_of(simp.ground)
     basis_els = sorted(bits(basis))
     line_count = {e: 0 for e in els}
-    lines_through = {e: [] for e in els}
     for ln in lines:
         for e in bits(ln):
             line_count[e] += 1
-            lines_through[e].append(ln)
     rest = [e for e in els if e not in basis_els]
     rest.sort(key=lambda e: (-line_count[e], e))
     order = basis_els + rest
+    units = [_index(f, [int(i == j) for i in range(r)]) for j in range(r)]
 
-    # higher flats (planes and up) give span constraints once their
-    # assigned part reaches full rank
-    flats_through: dict[int, list[tuple[int, int]]] = {e: [] for e in els}
-    for k in range(3, r):
-        for fl in simp.flats_of_rank(k):
+    # the flats of rank 2 to r - 1 through each element, with their ranks
+    through: dict[int, list[tuple[int, int]]] = {e: [] for e in els}
+    for k in range(2, r):
+        for fl in lines if k == 2 else simp.flats_of_rank(k):
             for e in bits(fl):
-                flats_through[e].append((fl, k))
+                through[e].append((fl, k))
 
-    unit: list[Vec] = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
-
+    point: dict[int, int] = {}  # assigned element -> index of its point
+    image: dict[int, frozenset[int]] = {}  # flat -> its image, once it has one
     nodes = 0
 
-    def candidates_for(e: int, assign: dict[int, Vec], assigned_mask: int):
-        be = 1 << e
-        allowed: set[Vec] | None = None
-        collinear_pairs: set[tuple[int, int]] = set()
-        for ln in lines_through[e]:
-            part = ln & assigned_mask
-            hit = list(bits(part))
-            for i in range(len(hit)):
-                for j in range(i + 1, len(hit)):
-                    collinear_pairs.add((hit[i], hit[j]))
-            if len(hit) >= 2:
-                img = image_line(assign[hit[0]], assign[hit[1]])
-                allowed = img if allowed is None else (allowed & img)
-        forbidden: set[Vec] = set(assign.values())
-        items = sorted(assign)
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if (items[i], items[j]) not in collinear_pairs:
-                    forbidden |= image_line(assign[items[i]], assign[items[j]])
-        pool = [v for v in (sorted(allowed) if allowed is not None else points)
-                if v not in forbidden]
-        parts = [fl & assigned_mask for fl, k in flats_through[e]
-                 if simp.rank(fl & assigned_mask) == k]
-        if not parts:
-            return pool
-        pool_vecs = [gf.vector(f, v) for v in pool]
-        assigned_vecs = {x: gf.vector(f, v) for x, v in assign.items()}
-        keep = (1 << len(pool)) - 1
-        for part in parts:
-            keep = gf.spanned(f, gf.echelon(f, assigned_vecs, part), pool_vecs, keep)
-        return [pool[i] for i in bits(keep)]
+    def candidates(e: int):
+        allowed: frozenset[int] | None = None
+        forbidden = set(point.values())
+        for fl, img in image.items():
+            if (fl >> e) & 1:
+                allowed = img if allowed is None else allowed & img
+            else:
+                forbidden.update(img)
+        if allowed is not None:
+            return sorted(allowed - forbidden)
+        return (p for p in range(theta) if p not in forbidden)
 
-    def search(idx: int, assign: dict[int, Vec], assigned_mask: int):
+    def search(idx: int, assigned_mask: int):
         nonlocal nodes
         if idx == len(order):
-            if _rank_functions_match(simp, f, assign):
-                return dict(assign)
-            return None
+            assign = {e: _vector(p, q, r) for e, p in point.items()}
+            return assign if _rank_functions_match(simp, f, assign) else None
         nodes += 1
         if nodes > NODE_CAP:
             raise CapExceeded("representability search exceeded its node budget")
         e = order[idx]
-        be = 1 << e
-        if idx < len(basis_els):
-            cand = [unit[idx]]
-        else:
-            cand = candidates_for(e, assign, assigned_mask)
-        for v in cand:
-            assign[e] = v
-            out = search(idx + 1, assign, assigned_mask | be)
+        assigned_mask |= 1 << e
+        cand = [units[idx]] if idx < len(basis_els) else candidates(e)
+        # flats that get their image with e, each with the points it has
+        # without e; the last element's images would bound nothing
+        ready = [] if idx + 1 == len(order) else [
+            (fl, [point[x] for x in bits(fl & ~(1 << e) & assigned_mask)])
+            for fl, k in through[e]
+            if fl not in image and simp.rank(fl & assigned_mask) == k]
+        for p in cand:
+            point[e] = p
+            for fl, pts in ready:
+                if len(pts) > 1:
+                    image[fl] = _span(f, r, pts + [p])
+                else:
+                    image[fl] = _line(q, r, pts[0], p) if pts[0] < p else _line(q, r, p, pts[0])
+            out = search(idx + 1, assigned_mask)
             if out is not None:
                 return out
-            del assign[e]
+        for fl, _ in ready:
+            image.pop(fl, None)
+        point.pop(e, None)
         return None
 
-    solution = search(0, {}, 0)
+    solution = search(0, 0)
     if solution is None:
         return RepResult(False, None)
     return RepResult(True, full_matrix(solution))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import rep_reference
 from mdl import catalog, gf, harness, rep
 from mdl.bits import bits, mask_of, submasks
 from mdl.core import LinearMatroid, UniformMatroid
@@ -303,3 +304,119 @@ def test_long_line_never_reaches_the_search(monkeypatch):
         assert rep.is_representable(m, q) == rep.RepResult(False, None)
     with pytest.raises(CapExceeded):
         rep.is_representable(catalog.gen("pg", (3, 2)), 3)
+
+
+# -- the search over point indices against the tuple-based reference --------
+
+
+def test_point_indices_are_lex_ranks():
+    """_vector and _index agree with gf.normalized_vectors, scaled or not."""
+    rng = random.Random(15)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = gf.field(q)
+        for r in (1, 2, 3, 4):
+            pts = gf.normalized_vectors(f, r)
+            assert [rep._vector(i, q, r) for i in range(len(pts))] == pts
+            for i, v in enumerate(pts):
+                c = rng.randrange(1, q)
+                assert rep._index(f, v) == rep._index(f, [f.mul(c, x) for x in v]) == i
+
+
+def test_span_against_ranks():
+    """_span holds exactly the points whose vector adds no rank."""
+    rng = random.Random(151)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = gf.field(q)
+        for r in (2, 3, 4):
+            pts = gf.normalized_vectors(f, r)
+            for _ in range(4):
+                chosen = rng.sample(range(len(pts)), rng.randint(1, r + 1))
+                vecs = [pts[i] for i in chosen]
+                k = gf.rank_of_vectors(f, vecs)
+                want = {i for i, v in enumerate(pts) if gf.rank_of_vectors(f, vecs + [v]) == k}
+                got = rep._span(f, r, chosen)
+                assert got == want and len(got) == (q ** k - 1) // (q - 1)
+                if len(chosen) == 2 and k == 2:
+                    assert rep._line(q, r, *sorted(chosen)) == want
+
+
+def differential_corpus():
+    """Seeded (label, matroid, q) inputs for the search against the reference.
+
+    Restrictions of PG(3,2), PG(3,3) and PG(4,2), each checked over
+    three fields; linear_random matroids of ranks 2 to 5 over their own
+    field (rank 4 with one element past a basis and no rank 5 over
+    GF(7), GF(8) and GF(9), where the reference takes seconds); and
+    small uniform matroids.  Planes and hyperplanes exclude points on
+    many of the rank-4 and rank-5 inputs.
+    """
+    rng = random.Random(1515)
+    for params, sizes, qs in (((4, 2), (6, 8, 10, 12), (2, 3, 4)),
+                              ((4, 3), (6, 8, 10), (2, 3, 9)),
+                              ((5, 2), (7, 9, 11), (2, 3, 4))):
+        pg = catalog.gen("pg", params)
+        for size in sizes:
+            keep = mask_of(rng.sample(list(bits(pg.ground)), size))
+            for q in qs:
+                yield f"pg {params} keep {keep:#x} q={q}", pg.restrict(keep), q
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for r in (2, 3, 4, 5) if q <= 5 else (2, 3, 4):
+            n = r + 1 if r == 4 and q > 5 else rng.randint(r + 1, r + 3)
+            seed = rng.randrange(2 ** 32)
+            yield (f"linear_random {r} {n} {q} seed {seed}",
+                   catalog.gen("linear_random", (r, n, q), seed=seed), q)
+    for r, n, q in ((3, 5, 3), (3, 5, 4), (3, 6, 5), (4, 5, 2), (4, 6, 3), (4, 6, 4),
+                    (4, 6, 5), (5, 6, 2)):
+        yield f"U({r},{n}) q={q}", UniformMatroid(r, n), q
+
+
+def test_search_matches_reference_with_no_more_nodes(monkeypatch):
+    """The same verdict and matrix as the reference, within its node count.
+
+    The node budget is set to the reference's count, so a search that
+    took more nodes would raise; one node less shows where the span rule
+    cut the search.
+    """
+    cut = []
+    for label, m, q in differential_corpus():
+        monkeypatch.setattr(rep, "NODE_CAP", 2_000_000)
+        want, nodes = rep_reference.reference_is_representable(m, q)
+        monkeypatch.setattr(rep, "NODE_CAP", nodes)
+        got = rep.is_representable(m, q)
+        assert got.representable == want.representable, label
+        assert (got.matrix is None) == (want.matrix is None), label
+        if got.matrix is not None:
+            assert got.matrix.columns() == want.matrix.columns(), label
+        if nodes:
+            monkeypatch.setattr(rep, "NODE_CAP", nodes - 1)
+            try:
+                rep.is_representable(m, q)
+                cut.append(m.rank())
+            except CapExceeded:
+                pass
+    assert cut.count(4) >= 10 and cut.count(5) >= 4
+
+
+def test_higher_flats_prune_uniform_matroids(monkeypatch):
+    """Planes and hyperplanes exclude points: U(4,6) over GF(16) and U(5,7)
+    over GF(8) need few nodes (the reference exceeds 1,000 on both)."""
+    monkeypatch.setattr(rep, "NODE_CAP", 1_000)
+    for m, q in ((UniformMatroid(4, 6), 16), (UniformMatroid(5, 7), 8)):
+        res = rep.is_representable(m, q)
+        assert res.representable
+        lin = LinearMatroid(res.matrix)
+        for x in submasks(m.ground):
+            assert lin.rank(x) == m.rank(x)
+
+
+def test_no_point_list(monkeypatch):
+    """Neither the point-count exit nor the search lists PG(r-1, q)."""
+    pg33, fano = catalog.gen("pg", (3, 3)), catalog.gen("pg", (3, 2))
+
+    def refuse(f, r):
+        raise AssertionError("normalized_vectors called")
+
+    monkeypatch.setattr(gf, "normalized_vectors", refuse)
+    assert rep.is_representable(pg33, 2) == rep.RepResult(False, None)
+    assert rep.is_representable(fano, 2).representable
+    assert rep.is_pg(fano, 3, 2)
