@@ -123,6 +123,10 @@ class Matroid:
             self._flat_levels = [[self.closure(0)]]
         levels = self._flat_levels
         while len(levels) <= k:
+            if len(levels) == self.rank():
+                # cl(E) = E is the only flat of rank r
+                levels.append([self.ground])
+                break
             nxt: set[int] = set()
             for f in levels[-1]:
                 # each flat covering f is f plus one class of the rest

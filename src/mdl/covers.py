@@ -21,9 +21,9 @@ from .errors import CapExceeded, InputError, PremiseError, UniformMinorDetected
 INF = math.inf
 
 # honest desk-scale boundaries for the exact cover search: candidate
-# sets, and nodes the branch and bound expands, each evaluation of its
-# fractional bound charged as the nodes it costs (fixed; 400x and more
-# above tau(pg(5,2), 2) at about 12,000 of them)
+# sets, and nodes the branch and bound expands, each node's evaluation
+# of its fractional bound charged as the nodes it costs (fixed; over
+# 800x above tau(pg(5,2), 2) at 6,025 of them)
 CANDIDATE_CAP = 5000
 COVER_NODE_CAP = 5_000_000
 
@@ -68,11 +68,6 @@ class DensityParams:
             raise InputError("need lam >= 0")
 
 
-def cover_weight(m: Matroid, cover: Cover, d: int) -> int:
-    """Sum of d^rank(F) over the members of the cover."""
-    return sum(d ** m.rank(f) for f in cover.sets)
-
-
 def _representative_universe(m: Matroid) -> int:
     """One element per parallel class; loops lie in every flat anyway."""
     reps = 0
@@ -91,7 +86,7 @@ def _bound_scale(s: int) -> list[int]:
 
 
 def _fractional_bound(uncovered: int, cands: list[int], weights: list[int],
-                      scale: list[int]) -> int:
+                      scale: list[int], levels: list[tuple[int, int]] | None = None) -> int:
     """Least weight that any cover of `uncovered` by `cands` still needs.
 
     y_e = min over candidates S through e of w_S / |S & uncovered| is a
@@ -101,6 +96,8 @@ def _fractional_bound(uncovered: int, cands: list[int], weights: list[int],
     bucketed by their share in units of 1/L, L = scale[1], and each
     element takes the least bucket it lies in.  `scale` is
     _bound_scale(s) for an s no smaller than any |S & uncovered|.
+    When `levels` is given, the packing is appended to it as pairs
+    (share v, elements with y_e = v / L), one per share in use.
     """
     buckets: dict[int, int] = {}
     for c, w in zip(cands, weights):
@@ -114,6 +111,8 @@ def _fractional_bound(uncovered: int, cands: list[int], weights: list[int],
         if hit:
             total += v * hit.bit_count()
             uncovered &= ~hit
+            if levels is not None:
+                levels.append((v, hit))
             if not uncovered:
                 break
     return -(-total // scale[1])
@@ -139,14 +138,19 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
     4. an incumbent meeting the root bound ends the search: a node with
        k sets chosen weighs at least k min weights and has covered at
        most k * s elements, so rule 3 stops every open node;
-    5. a node stops before descending into another child once its weight
-       plus `_fractional_bound` of what it leaves uncovered reaches the
-       incumbent.  That bound is not monotone in what a child covers, so
-       rules 2 to 4 keep lb.  It costs a scan of every candidate, so a
-       node evaluates it at most once, and only once the options scanned
-       in its own subtree number len(cands): leaves and small searches
-       never pay for it.  Each evaluation counts as
-       ceil(len(cands) / options at the node) nodes against the cap.
+    5. every node evaluates `_fractional_bound` of its uncovered set U
+       once, on entry, and returns when its weight plus that bound
+       reaches the incumbent.  The bound is not monotone in what a child
+       covers, so rules 2 to 4 keep lb.  It costs a scan of every
+       candidate, so each evaluation counts as
+       ceil(len(cands) / options at the node) nodes against the cap;
+    6. a child entered with option S is skipped when its weight plus
+       ceil(sum of y_e over U - S) reaches the incumbent, y being the
+       packing of rule 5's evaluation.  y_e is the least share
+       w_T / |T & U| over the candidates T through e, so every T
+       collects at most w_T from U; restricted to U - S, y collects no
+       more, so it is still feasible for the dual of covering U - S,
+       and its sum bounds every cover of what the child leaves.
 
     Each rule cuts only subtrees holding no cover strictly lighter than
     the incumbent, and the branching order is that of the plain DFS, so
@@ -204,20 +208,22 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
     best_sel = greedy
     chosen: list[int] = []
     nodes = 0
-    scanned = 0
-    scale = None
+    scale = _bound_scale(max_size)
+    top = scale[1]
 
     def dfs(uncovered: int, cur_w: int, i: int):
-        nonlocal best_w, best_sel, nodes, scanned, scale
+        nonlocal best_w, best_sel, nodes
         nodes += 1
         if nodes > COVER_NODE_CAP:
             raise CapExceeded(f"cover search exceeded its node budget {COVER_NODE_CAP}")
         while not uncovered & elem_bits[i]:
             i += 1
         keeps, ws, cis = options[i]
-        due = scanned + len(cands)
-        scanned += len(keeps)
-        floor = None
+        levels: list[tuple[int, int]] = []
+        floor = _fractional_bound(uncovered, cands, weights, scale, levels)
+        nodes += -(-len(cands) // len(keeps))
+        if cur_w + floor >= best_w:
+            return
         rests = [(uncovered & k).bit_count() for k in keeps]
         for r in sorted(range(len(rests)), key=rests.__getitem__):
             rest = rests[r]
@@ -231,15 +237,12 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
                 best_w = w
                 best_sel = chosen + [cis[r]]
                 continue
-            if floor is None and scanned >= due:
-                if scale is None:
-                    scale = _bound_scale(max_size)
-                floor = _fractional_bound(uncovered, cands, weights, scale)
-                nodes += -(-len(cands) // len(keeps))
-            if floor is not None and cur_w + floor >= best_w:
-                break
+            k = keeps[r]
+            rest_y = sum(v * (hit & k).bit_count() for v, hit in levels)
+            if w - (-rest_y // top) >= best_w:
+                continue
             chosen.append(cis[r])
-            dfs(uncovered & keeps[r], w, i + 1)
+            dfs(uncovered & k, w, i + 1)
             chosen.pop()
 
     dfs(universe, 0, 0)

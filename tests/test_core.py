@@ -125,6 +125,29 @@ def test_flats_of_rank_examples():
     assert fano.flats_of_rank(5) == []
 
 
+def test_top_flat_needs_no_classes_pass():
+    """The rank-r level is [E] without a `_classes` call on the
+    hyperplanes; the levels below are built as before."""
+    fano = catalog.gen("pg", (3, 2))
+    pg32 = catalog.gen("pg", (3, 3))
+    loops = linear(2, [(0, 0), (0, 0), (0, 0)])
+    corpus = [UniformMatroid(3, 5), UniformMatroid(1, 2), fano, pg32,
+              linear(3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 0), (1, 1, 1)]),
+              fano.contract(0b1), fano.delete(0b110), pg32.contract(0b10).delete(0b1100),
+              direct_sum([UniformMatroid(2, 4), UniformMatroid(0, 2), fano]),
+              loops, direct_sum([loops, UniformMatroid(0, 1)])]
+    for m in corpus:
+        r = m.rank()
+        below = m.flats_of_rank(r - 1)
+        calls = []
+        classes = m._classes
+        m._classes = lambda x, mask: calls.append(x) or classes(x, mask)
+        assert m.flats_of_rank(r) == [m.ground]
+        del m._classes  # minors later in the corpus share their base
+        assert calls == [], m
+        assert m.flats_of_rank(r - 1) == below
+
+
 def test_simplify():
     m = linear(3, [(1, 0), (2, 0), (0, 1), (0, 0)])
     simp, mapping = m.simplify()
