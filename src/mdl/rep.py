@@ -1,4 +1,10 @@
-"""GF(q)-representability by backtracking coordinatization.
+"""GF(q)-representability: a verdict from the input's own field, else a search.
+
+`representable` answers True at once for a matrix over a subfield of
+GF(q), or a minor of one (the class is minor-closed), and so decides
+`is_pg` on such an input by its rank and point count alone.  Every other
+verdict, and every matrix, comes from `is_representable`'s backtracking
+coordinatization, described below.
 
 The searcher works on the simplification: loops map to the zero vector
 and parallel elements share a column, so representability of the input
@@ -50,7 +56,7 @@ from functools import lru_cache
 
 from . import gf
 from .bits import bits
-from .core import Matroid, UniformMatroid
+from .core import LinearMatroid, Matroid, MinorMatroid, UniformMatroid
 from .errors import CapExceeded
 
 MAX_RANK = 5
@@ -256,19 +262,41 @@ def is_representable(m: Matroid, q: int) -> RepResult:
     return RepResult(True, full_matrix(solution))
 
 
+def representable(m: Matroid, q: int) -> bool:
+    """The GF(q)-representability verdict of m, without a matrix.
+
+    A LinearMatroid over GF(p^a), or a minor of one, with q = p^b and
+    a | b, is answered True before any cap or search:
+    - a deletion keeps a subset of the columns;
+    - a contraction by C maps the columns modulo span(C), a GF(p^a)-linear
+      map, and M/C is the column matroid of their images;
+    - GF(p^a) embeds in GF(p^b) iff a | b, and the rank of a set of
+      vectors does not change under field extension.
+    No matrix is produced, so there is nothing to re-check.  Every other
+    input gets `is_representable`'s verdict, with its caps.
+    """
+    f = gf.field(q)  # refuses a q that is not a field order
+    base = m.base if isinstance(m, MinorMatroid) else m
+    if isinstance(base, LinearMatroid) and base.field.p == f.p and f.k % base.field.k == 0:
+        return True
+    return is_representable(m, q).representable
+
+
 def is_pg(m: Matroid, n: int, q: int) -> bool:
     """Is si(M) the rank-n projective geometry over GF(q)?
 
     A simple rank-n GF(q)-representable matroid has at most
     (q^n - 1)/(q - 1) points, with equality exactly for the full
     geometry, so point count plus representability decides isomorphism.
+    For a matrix over a subfield of GF(q), or a minor of one, rank and
+    point count decide alone (see `representable`).
     """
     gf.field(q)  # refuses a q that is not a field order
     if m.rank() != n:
         return False
     if m.epsilon() != (q ** n - 1) // (q - 1):
         return False
-    return is_representable(m, q).representable
+    return representable(m, q)
 
 
 def uniform_representability_fact(a: int, b: int, q: int) -> bool:

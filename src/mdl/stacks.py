@@ -78,7 +78,7 @@ def verify_stack(m: Matroid, cert: StackCert, require_spanning: bool = False) ->
             return StackCheck(False, f"layer {i} has rank {rk} < 2")
         if rk > cert.t:
             return StackCheck(False, f"layer {i} has rank {rk} > t={cert.t}")
-        if rep.is_representable(cur.restrict(f), cert.q).representable:
+        if rep.representable(cur.restrict(f), cert.q):
             return StackCheck(False, f"layer {i} is GF({cert.q})-representable")
         cur = cur.contract(f)
     return StackCheck(True)
@@ -111,19 +111,6 @@ def serialize_cert(cert: StackCert) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cert(text: str) -> StackCert:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("stack "):
-        raise InputError("certificate must start with a 'stack' line")
-    fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
-    parts = []
-    for ln in lines[1:]:
-        if not ln.startswith("part "):
-            raise InputError(f"unexpected certificate line: {ln!r}")
-        parts.append(mask_of(int(tok) for tok in ln.split()[1:]))
-    return StackCert(tuple(parts), int(fields["q"]), int(fields["t"]))
-
-
 def find_stack(m: Matroid, q: int, h: int, t: int) -> StackCert | None:
     """Search for a (q,h,t)-stack witness among flats of rank 2..t.
 
@@ -141,7 +128,7 @@ def find_stack(m: Matroid, q: int, h: int, t: int) -> StackCert | None:
         key = (prefix, fl)
         got = rep_cache.get(key)
         if got is None:
-            got = rep.is_representable(cur.restrict(fl), q).representable
+            got = rep.representable(cur.restrict(fl), q)
             rep_cache[key] = got
         return got
 

@@ -86,6 +86,12 @@ def test_pg_recognition(tmp_path, capsys):
     run(capsys, "gen", "pg", "3", "2", "-o", f)
     code, out, _ = run(capsys, "pg", f, "--n", "3", "--q", "2")
     assert code == 0 and "is_pg=True" in out
+    # beyond the search's 40-point cap: answered by rank and point count
+    for n, q in ((4, 4), (3, 9)):
+        f = str(tmp_path / f"pg{n}{q}.mtd")
+        run(capsys, "gen", "pg", str(n), str(q), "-o", f)
+        code, out, _ = run(capsys, "pg", f, "--n", str(n), "--q", str(q))
+        assert code == 0 and "is_pg=True" in out
 
 
 def test_stack_find_and_verify(tmp_path, capsys):

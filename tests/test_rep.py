@@ -6,9 +6,9 @@ import random
 import pytest
 
 import rep_reference
-from mdl import catalog, gf, harness, rep
+from mdl import catalog, gf, harness, rep, stacks
 from mdl.bits import bits, mask_of, submasks
-from mdl.core import LinearMatroid, UniformMatroid
+from mdl.core import LinearMatroid, UniformMatroid, direct_sum, parallel_extension
 from mdl.errors import CapExceeded
 
 
@@ -170,7 +170,12 @@ def test_caps_enforced():
     with pytest.raises(CapExceeded):
         rep.is_representable(UniformMatroid(6, 8), 2)
     big = catalog.gen("pg", (4, 3))  # 40 points is at cap; 41 would not be
+    assert rep.is_representable(big, 3).representable
     assert rep.is_pg(big, 4, 3)
+    over = catalog.gen("pg_plus_noise", (4, 3, 9, 1), seed=0)
+    assert over.epsilon() == 41
+    with pytest.raises(CapExceeded, match="41 points > 40"):
+        rep.is_representable(over, 9)
 
 
 def test_rank_zero_and_one():
@@ -420,3 +425,86 @@ def test_no_point_list(monkeypatch):
     assert rep.is_representable(pg33, 2) == rep.RepResult(False, None)
     assert rep.is_representable(fano, 2).representable
     assert rep.is_pg(fano, 3, 2)
+
+
+# -- verdicts from the input's own field ------------------------------------
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31)
+
+
+def own_field_corpus(seed=17):
+    """Deletions, contractions and nested minors of seeded linear matroids."""
+    rng = random.Random(seed)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for _ in range(3):
+            r = rng.randint(2, 4)
+            m = catalog.gen("linear_random", (r, rng.randint(r + 2, r + 5), q),
+                            seed=rng.randrange(2 ** 32))
+            els = list(m.elements())
+            d, c, c2 = (1 << e for e in rng.sample(els, 3))
+            yield q, m.delete(d)
+            yield q, m.contract(c)
+            yield q, m.contract(c).delete(d).contract(c2)
+
+
+def counting_search(monkeypatch):
+    calls = []
+    search = rep.is_representable
+
+    def counted(m, q):
+        calls.append(q)
+        return search(m, q)
+
+    monkeypatch.setattr(rep, "is_representable", counted)
+    return calls
+
+
+def test_own_field_verdicts_match_the_search(monkeypatch):
+    """`representable` equals the search's verdict over every field order,
+    and searches exactly when GF(q) is no extension of the input's field."""
+    search = rep.is_representable
+    calls = counting_search(monkeypatch)
+    verdicts = []
+    for q, m in own_field_corpus():
+        for q2 in PRIME_POWERS:
+            embeds = any(q ** j == q2 for j in range(1, 6))
+            calls.clear()
+            got = rep.representable(m, q2)
+            assert got == search(m, q2).representable, (q, q2)
+            assert len(calls) == (0 if embeds else 1), (q, q2)
+            verdicts.append(got)
+    assert len(verdicts) == 7 * 3 * 3 * len(PRIME_POWERS)
+    assert verdicts.count(False) >= 20
+
+
+def test_non_embedding_fields_and_non_linear_bases_reach_the_search(monkeypatch):
+    calls = counting_search(monkeypatch)
+    pg34, pg39 = catalog.gen("pg", (3, 4)), catalog.gen("pg", (3, 9))
+    ternary = catalog.gen("pg", (3, 3))
+    fano = catalog.gen("pg", (3, 2))
+    inputs = [
+        (pg34.delete(0b1), 2, False),  # GF(4) over GF(2)
+        (pg39.contract(0b1), 3, False),  # GF(9) over GF(3)
+        (ternary.delete(0b1), 2, False),  # GF(3) over GF(2)
+        (UniformMatroid(2, 4).delete(0b1), 2, True),
+        (direct_sum([fano, fano]).contract(0b1), 2, True),
+        (parallel_extension(fano, [0, 1]).delete(0b1), 2, True),
+    ]
+    for m, q, want in inputs:
+        before = len(calls)
+        assert rep.representable(m, q) == want
+        assert calls[before:] == [q]
+
+
+def test_own_field_verdicts_take_no_search(monkeypatch):
+    def refuse(m, q):
+        raise AssertionError("is_representable called")
+
+    monkeypatch.setattr(rep, "is_representable", refuse)
+    assert stacks.find_stack(catalog.gen("pg", (3, 4)), 4, 1, 3) is None
+    pg42 = catalog.gen("pg", (4, 2))
+    line = pg42.flats_of_rank(2)[0]
+    cert = stacks.StackCert((line, pg42.ground & ~line), 2, 2)
+    assert stacks.verify_stack(pg42, cert).reason == "layer 1 is GF(2)-representable"
+    assert rep.is_pg(catalog.gen("pg", (4, 4)), 4, 4)
+    assert rep.is_pg(catalog.gen("pg", (3, 9)), 3, 9)
