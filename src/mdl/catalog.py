@@ -25,7 +25,6 @@ per file, later blocks may reference earlier names:
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Sequence
 
@@ -303,23 +302,3 @@ def _build_block(path: str, block: dict, named: dict[str, Matroid]) -> Matroid:
             raise ParseError(path, lineno, "direct_sum needs at least one part")
         return direct_sum(parts)
     raise ParseError(path, lineno, f"unknown kind {kind!r}")
-
-
-# -- corpus manifests -------------------------------------------------
-
-
-def write_manifest(entries: list[dict], path: str) -> None:
-    """Manifest: list of {file, family, params, seed} records as JSON."""
-    for e in entries:
-        missing = {"file", "family", "params", "seed"} - set(e)
-        if missing:
-            raise InputError(f"manifest entry missing fields {sorted(missing)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"rng": RNG_ALGORITHM, "entries": entries}, fh, indent=1)
-        fh.write("\n")
-
-
-def read_manifest(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return data["entries"]

@@ -116,21 +116,47 @@ class Matroid:
         return self.rank(x) + self.rank(y) - self.rank(x | y)
 
     def flats_of_rank(self, k: int) -> list[int]:
-        """All flats of rank exactly k, ascending by bit-vector value."""
+        """All flats of rank exactly k, ascending by bit-vector value.
+
+        Level k is built from level k-1: the flats covering a flat f are
+        f plus one class of E - f under e ~ e' iff cl(f + e) = cl(f + e'),
+        and those classes partition E - f.  So a covering flat g already
+        found from an earlier parent is the whole class g - f, and only
+        the rest of E - f goes to ``_classes`` (nothing, if that rest is
+        empty).  Each rank-k flat is thus reduced from exactly one
+        parent, the least of its hyperplanes, and found once.  Found
+        flats are indexed by element and looked up by f's least element
+        outside cl(∅), so a lookup scans only flats through that element.
+        """
         if k < 0 or k > self.rank():
             return []
         if self._flat_levels is None:
             self._flat_levels = [[self.closure(0)]]
         levels = self._flat_levels
+        loops = levels[0][0]
         while len(levels) <= k:
             if len(levels) == self.rank():
                 # cl(E) = E is the only flat of rank r
                 levels.append([self.ground])
                 break
-            nxt: set[int] = set()
+            nxt: list[int] = []
+            through: dict[int, list[int]] = {}  # element bit -> found flats on it
             for f in levels[-1]:
-                # each flat covering f is f plus one class of the rest
-                nxt.update(f | c for c in self._classes(f, self.ground & ~f))
+                rest = self.ground & ~f
+                key = f & ~loops  # 0 at level 1, where nothing is found yet
+                for g in through.get(key & -key, ()):
+                    if g & f == f:
+                        rest &= ~g
+                if not rest:
+                    continue
+                for c in self._classes(f, rest):
+                    g = f | c
+                    nxt.append(g)
+                    on = g & ~loops
+                    while on:
+                        low = on & -on
+                        through.setdefault(low, []).append(g)
+                        on ^= low
             levels.append(sorted(nxt))
         return list(levels[k])
 

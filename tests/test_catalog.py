@@ -1,4 +1,4 @@
-"""Generators, the .mtd format, and corpus manifests."""
+"""Generators and the .mtd format."""
 
 import pytest
 
@@ -159,20 +159,3 @@ def test_multiple_blocks_reference(tmp_path):
     assert m.ground == 0b0110
     assert m.rank(0b0110) == 1
 
-
-# -- manifests ------------------------------------------------------------------
-
-
-def test_manifest_round_trip(tmp_path):
-    p = str(tmp_path / "corpus.json")
-    entries = [
-        {"file": "a.mtd", "family": "pg", "params": [3, 2], "seed": 0},
-        {"file": "b.mtd", "family": "linear_random", "params": [3, 8, 2], "seed": 7},
-    ]
-    catalog.write_manifest(entries, p)
-    assert catalog.read_manifest(p) == entries
-
-
-def test_manifest_requires_fields(tmp_path):
-    with pytest.raises(ValueError):
-        catalog.write_manifest([{"file": "a.mtd"}], str(tmp_path / "m.json"))

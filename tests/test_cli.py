@@ -1,8 +1,10 @@
 """CLI subcommands: pipelines, verdict exit codes, determinism, json."""
 
+import ast
 import importlib
 import json
 import os
+import pathlib
 import pkgutil
 import resource
 import subprocess
@@ -418,3 +420,21 @@ def test_command_loads_only_its_modules(tmp_path, argv, adds):
     res = python("-c", PROBE, *(a.format(f=f) for a in argv), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert set(res.stdout.splitlines()[-1].split()) == CLI_MODULES | adds
+
+
+def test_runtime_imports_are_stdlib_or_mdl():
+    """Runtime dependencies stay at none: every absolute import in
+    src/mdl names mdl itself or a standard-library module."""
+    sources = sorted(pathlib.Path(mdl.__path__[0]).glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "mdl" or top in sys.stdlib_module_names, (path.name, name)

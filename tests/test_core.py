@@ -148,6 +148,24 @@ def test_top_flat_needs_no_classes_pass():
         assert m.flats_of_rank(r - 1) == below
 
 
+@pytest.mark.parametrize("params, calls, sent, sizes", [
+    ((4, 3), 27, 790, [1, 40, 130, 40, 1]),
+    ((5, 3), 211, 17908, [1, 121, 1210, 1210, 121, 1])])
+def test_each_covering_flat_reduced_from_one_parent(params, calls, sent, sizes):
+    """Every level of PG(n-1, q) is built with each flat reduced from one
+    parent: `_classes` gets only the elements outside a flat f that no
+    cover of f found so far holds, and is not called when there are none.
+    Reducing all of E - f for every flat f took 171 calls on 6,280
+    elements for PG(3,3) and 2,542 on 286,891 for PG(4,3)."""
+    m = catalog.gen("pg", params)
+    seen = []
+    classes = m._classes
+    m._classes = lambda x, mask: seen.append(mask.bit_count()) or classes(x, mask)
+    levels = [m.flats_of_rank(k) for k in range(m.rank() + 1)]
+    assert (len(seen), sum(seen)) == (calls, sent)
+    assert [len(level) for level in levels] == sizes
+
+
 def test_simplify():
     m = linear(3, [(1, 0), (2, 0), (0, 1), (0, 0)])
     simp, mapping = m.simplify()
