@@ -18,6 +18,14 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def union(masks: Iterable[int]) -> int:
+    """The OR of the masks: the union of the subsets they encode."""
+    u = 0
+    for m in masks:
+        u |= m
+    return u
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in ascending order."""
     while mask:

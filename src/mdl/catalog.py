@@ -42,10 +42,6 @@ def _linear(q: int, columns: Sequence[Sequence[int]], rows: int) -> LinearMatroi
     return LinearMatroid(gf.Matrix.from_columns(f, [tuple(c) for c in columns], rows))
 
 
-def pg_columns(n: int, q: int) -> list[tuple[int, ...]]:
-    return gf.normalized_vectors(gf.field(q), n)
-
-
 # family: the names of its parameters, in order
 FAMILIES = {
     "uniform": ("r", "n"),
@@ -97,9 +93,9 @@ def gen(name: str, params: Sequence = (), seed: int = 0) -> Matroid:
         return UniformMatroid(r, n)
     if name == "pg":
         n, q = params
-        gf.field(q)
+        f = gf.field(q)
         _refuse(name, n, _points(n, q))
-        return _linear(q, pg_columns(n, q), n)
+        return _linear(q, gf.normalized_vectors(f, n), n)
     if name == "fano":
         return gen("pg", (3, 2))
     if name == "linear_random":
@@ -121,7 +117,7 @@ def gen(name: str, params: Sequence = (), seed: int = 0) -> Matroid:
         if f2.p != q or f2.k != 2:
             raise InputError("pg_plus_noise needs q prime and q2 = q^2")
         _refuse(name, n, _points(n, q) + extra)
-        columns = list(pg_columns(n, q))  # GF(q) digits are GF(q^2) constants
+        columns = gf.normalized_vectors(gf.field(q), n)  # GF(q) digits are GF(q^2) constants
         rng = random.Random(seed)
         for _ in range(extra):
             while True:

@@ -22,7 +22,7 @@ import math
 import sys
 
 from . import catalog, gf
-from .bits import indices_of, mask_of
+from .bits import indices_of, mask_of, union
 from .errors import CapExceeded, InputError
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
@@ -103,10 +103,11 @@ def cmd_gen(args) -> int:
 
 
 def _emit_cover_value(args, key: str, m, res) -> int:
-    """tau and tauw: the value as a string, and the certificate if any."""
-    cover = res.cover
-    _emit(args, {key: str(res.value)}, [_cover_block(m, cover)] if cover else [],
-          data={"cover": [indices_of(s) for s in cover.sets] if cover else None})
+    """tau and tauw: the value as a string, and the certificate if any
+    (none for the +inf sentinel, nor the empty cover of an empty ground)."""
+    sets = res.cover.sets if res.cover is not None else ()
+    _emit(args, {key: str(res.value)}, [_cover_block(m, res.cover)] if sets else [],
+          data={"cover": [indices_of(s) for s in sets] if sets else None})
     return OK
 
 
@@ -146,10 +147,8 @@ def cmd_round(args) -> int:
         n = reductions.weakly_round_restriction(m, args.a, args.q, args.alpha)
         info["restriction"] = indices_of(n.ground)
         info["restriction_rank"] = n.rank()
-        _emit(args, info)
-        return OK
     _emit(args, info)
-    return OK if ok else FAIL
+    return OK if ok or args.extract else FAIL
 
 
 def cmd_rep(args) -> int:
@@ -204,11 +203,8 @@ def cmd_cover(args) -> int:
     m = catalog.read_matroid(args.file)
     cov = covers.kdensity_cover(m, args.a, args.b)
     bound = math.comb(args.b - 1, args.a) ** max(m.rank() - args.a, 0)
-    union = 0
-    for s in cov.sets:
-        union |= s
     info = {"cover_size": len(cov.sets), "bound": bound,
-            "covers_ground": union == m.ground,
+            "covers_ground": union(cov.sets) == m.ground,
             "within_bound": len(cov.sets) <= bound}
     _emit(args, info, [_cover_block(m, cov)], data={"sets": [indices_of(s) for s in cov.sets]})
     return OK if info["covers_ground"] and info["within_bound"] else FAIL
@@ -227,7 +223,7 @@ def cmd_verify(args) -> int:
             try:
                 catalog.write_matroid(t.dump, path, name=f"{args.lemma}_cx")
                 rows[-1]["dump"] = path
-            except InputError:
+            except (InputError, OSError):
                 pass
     if args.json:
         print(json.dumps({"lemma": args.lemma, "passed": good, "total": total,

@@ -33,10 +33,6 @@ class Cover:
     """A multiset of ground subsets whose union is E(M)."""
 
     sets: tuple[int, ...]
-    matroid: Matroid
-
-    def __len__(self):
-        return len(self.sets)
 
 
 @dataclass(frozen=True)
@@ -260,23 +256,23 @@ def tau(m: Matroid, a: int) -> CoverResult:
     rank-a flat, which is a candidate.
     """
     if m.ground == 0:
-        return CoverResult(0, Cover((), m))
+        return CoverResult(0, Cover(()))
     if a < 0:
         return CoverResult(INF, None)
     loops = m.loops()
     if a == 0:
         if m.ground & ~loops:
             return CoverResult(INF, None)
-        return CoverResult(1, Cover((m.ground,), m))
+        return CoverResult(1, Cover((m.ground,)))
     r = m.rank()
     if a >= r:
-        return CoverResult(1, Cover((m.ground,), m))
+        return CoverResult(1, Cover((m.ground,)))
     cands = m.flats_of_rank(a)
     if len(cands) > CANDIDATE_CAP:
         raise CapExceeded(f"tau: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
     universe = _representative_universe(m)
     value, sel = _min_cover(universe, cands, [1] * len(cands))
-    return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel)), m))
+    return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel))))
 
 
 def tau_weighted(m: Matroid, d: int) -> CoverResult:
@@ -289,12 +285,12 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
     if d < 1:
         raise InputError("need d >= 1")
     if m.ground == 0:
-        return CoverResult(0, Cover((), m))
+        return CoverResult(0, Cover(()))
     r = m.rank()
     universe = _representative_universe(m)
     if universe == 0:
         # all loops: the single rank-0 set E(M)
-        return CoverResult(1, Cover((m.ground,), m))
+        return CoverResult(1, Cover((m.ground,)))
     cands: list[int] = []
     weights: list[int] = []
     for k in range(0, r + 1):
@@ -315,7 +311,7 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
         raise CapExceeded(
             f"tau_weighted: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
     value, sel = _min_cover(universe, cands, weights)
-    return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel)), m))
+    return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel))))
 
 
 def is_d_thick(m: Matroid, x: int, d: int) -> bool:
@@ -364,21 +360,21 @@ def kdensity_cover(m: Matroid, a: int, b: int) -> Cover:
     if not 1 <= a < b:
         raise InputError("need 1 <= a < b")
     if m.ground == 0:
-        return Cover((), m)
+        return Cover(())
     r = m.rank()
     if r <= a:
-        return Cover((m.ground,), m)
+        return Cover((m.ground,))
     if r == a + 1:
         x = _max_uniform_restriction(m, a + 1, cap=b)
         sets = sorted({m.closure(s) for s in ksubsets(x, a)})
-        return Cover(tuple(sets), m)
+        return Cover(tuple(sets))
     nl = m.nonloops()
     e = (nl & -nl).bit_length() - 1
     sub = kdensity_cover(m.contract(1 << e), a, b)
     out: set[int] = set()
     for f in sub.sets:
         out.update(kdensity_cover(m.restrict(f | (1 << e)), a, b).sets)
-    return Cover(tuple(sorted(out)), m)
+    return Cover(tuple(sorted(out)))
 
 
 def thick_uniform_minor(m: Matroid, a: int, b: int, d: int) -> tuple[int, int]:

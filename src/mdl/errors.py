@@ -6,10 +6,11 @@ from .bits import bits
 
 
 def cap_override(default: int) -> int:
-    """Search caps honor MDL_CAP_OVERRIDE (may make runs non-terminating).
+    """The cap `default`, raised by MDL_CAP_OVERRIDE (no termination promise).
 
-    The override only raises a cap: a value below the default, or one
-    that is not an integer, is refused with an InputError naming it.
+    Only stacks.LAYER_BUDGET reads it; every other cap is fixed.  The
+    override only raises the cap: a value below the default, or one that
+    is not an integer, is refused with an InputError naming it.
     """
     v = os.environ.get("MDL_CAP_OVERRIDE")
     if not v:

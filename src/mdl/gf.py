@@ -142,9 +142,6 @@ class FiniteField:
     def add(self, x: int, y: int) -> int:
         return self.add_table[x][y]
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add_table[x][self.neg_table[y]]
-
     def mul(self, x: int, y: int) -> int:
         return self.mul_table[x][y]
 

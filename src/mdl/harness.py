@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import catalog, covers, gf, rep, stacks
 from . import reduce as reductions
-from .bits import bits, mask_of, submasks
+from .bits import bits, mask_of, submasks, union
 from .core import LinearMatroid, Matroid, UniformMatroid, direct_sum
 from .errors import CapExceeded, InputError, PremiseError
 
@@ -116,11 +116,8 @@ def suite_thm4(rng: random.Random, i: int, seed: int):
         bound = math.comb(b - 1, 1) ** max(r - 1, 0)
         t1 = covers.tau(m, 1).value
         cov = covers.kdensity_cover(m, 1, b)
-        union = 0
-        for s in cov.sets:
-            union |= s
         ranks_ok = all(m.rank(s) <= 1 for s in cov.sets)
-        ok = (t1 <= bound and union == m.ground and len(cov.sets) <= bound and ranks_ok)
+        ok = (t1 <= bound and union(cov.sets) == m.ground and len(cov.sets) <= bound and ranks_ok)
         return ok, f"q={q} r={r} tau1={t1} cover={len(cov.sets)} bound={bound}"
 
     return m, check

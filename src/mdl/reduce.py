@@ -34,17 +34,7 @@ def reduce_connectivity(m: Matroid, y: int, a: int, b: int) -> int:
     ry = m.rank(y)
     if ry <= a:
         return m.ground
-    by = m.basis_of(y)
-    extend = by
-    cur_rank = m.rank(extend)
-    r_need = m.rank()
-    for e in bits(m.ground & ~y):
-        if cur_rank == r_need:
-            break
-        if m.rank(extend | (1 << e)) > cur_rank:
-            extend |= 1 << e
-            cur_rank += 1
-    ind = extend & ~by
+    ind = m.contract(m.basis_of(y)).basis_of(m.ground & ~y)
     m1 = m.contract(ind)
     cover = tau(m1, a).cover
     # factor C(b-1,a)^(a-r(Y)) <= 1 here since r(Y) > a

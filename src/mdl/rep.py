@@ -177,12 +177,6 @@ def is_representable(m: Matroid, q: int) -> RepResult:
             cols.append(assign[rep] if rep is not None else zero)
         return gf.Matrix.from_columns(f, cols, rows)
 
-    if npts == 0:
-        return RepResult(True, full_matrix({}))
-    if r == 1:
-        one = (1,) + (0,) * (rows - 1)
-        return RepResult(True, full_matrix({e: one for e in els}))
-
     theta = (q ** r - 1) // (q - 1)  # the points of PG(r-1, q)
     if npts > theta:
         return RepResult(False, None)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import rep
-from .bits import bits, indices_of, mask_of
+from .bits import indices_of, mask_of, union
 from .core import Matroid, parallel_extension
 from .errors import CapExceeded, InputError, PremiseError, cap_override
 
@@ -37,10 +37,7 @@ class StackCert:
         return len(self.parts)
 
     def union(self) -> int:
-        u = 0
-        for p in self.parts:
-            u |= p
-        return u
+        return union(self.parts)
 
 
 @dataclass(frozen=True)
@@ -52,25 +49,22 @@ class StackCheck:
         return self.ok
 
 
-def verify_stack(m: Matroid, cert: StackCert, require_spanning: bool = False) -> StackCheck:
+def verify_stack(m: Matroid, cert: StackCert) -> StackCheck:
     """Check every certificate clause; report the first violated one.
 
-    The layer union always spans the stack restriction it induces, so by
-    default no spanning clause can fail (this keeps initial segments of
-    valid certificates valid).  With require_spanning the union must
-    additionally span all of M.
+    The layer union always spans the stack restriction it induces, so no
+    spanning clause can fail (this keeps initial segments of valid
+    certificates valid).
     """
-    union = 0
+    seen = 0
     for i, f in enumerate(cert.parts, 1):
         if f == 0:
             return StackCheck(False, f"part {i} is empty")
         if f & ~m.ground:
             return StackCheck(False, f"part {i} contains dead elements")
-        if f & union:
+        if f & seen:
             return StackCheck(False, f"part {i} overlaps an earlier part")
-        union |= f
-    if require_spanning and m.rank(union) != m.rank():
-        return StackCheck(False, "layer union does not span the matroid")
+        seen |= f
     cur = m
     for i, f in enumerate(cert.parts, 1):
         rk = cur.rank(f)
@@ -174,12 +168,12 @@ def project_stack(m: Matroid, cert: StackCert, c: int, k: int) -> StackCert:
     if cert.height < k * (rc + 1):
         raise PremiseError(
             f"need at least k(r(C)+1) = {k * (rc + 1)} layers, have {cert.height}")
-    union = cert.union()
-    overlap = c & union
+    layers = cert.union()
+    overlap = c & layers
     if overlap:
         originals = indices_of(overlap)
         pe = parallel_extension(m, originals)
-        c_work = (c & ~union) | mask_of(pe.copy_index(i) for i in range(len(originals)))
+        c_work = (c & ~layers) | mask_of(pe.copy_index(i) for i in range(len(originals)))
         host: Matroid = pe
     else:
         c_work = c
@@ -188,9 +182,7 @@ def project_stack(m: Matroid, cert: StackCert, c: int, k: int) -> StackCert:
     def recurse(cur: Matroid, parts: tuple[int, ...], cset: int) -> tuple[int, ...]:
         if cur.rank(cset) == 0:
             return parts[:k]
-        first = 0
-        for p in parts[:k]:
-            first |= p
+        first = union(parts[:k])
         if cur.local_conn(cset, first) == 0:
             return parts[:k]
         nxt = cur.contract(first)
@@ -225,9 +217,7 @@ def skew_stack(m: Matroid, cert: StackCert, x: int, a: int) -> tuple[int, StackC
         raise PremiseError(f"local connectivity {conn} exceeds a = {a}")
 
     def recurse(cur: Matroid, parts: tuple[int, ...], xcur: int, acur: int):
-        first = 0
-        for p in parts[:h]:
-            first |= p
+        first = union(parts[:h])
         if cur.local_conn(xcur, first) == 0:
             return 0, parts[:h]
         if acur == 0:
@@ -235,10 +225,7 @@ def skew_stack(m: Matroid, cert: StackCert, x: int, a: int) -> tuple[int, StackC
         nxt = cur.contract(first)
         xnxt = xcur & ~first
         rest = parts[h:h + acur * h]
-        rest_union = 0
-        for p in rest:
-            rest_union |= p
-        if nxt.local_conn(xnxt, rest_union) > acur - 1:
+        if nxt.local_conn(xnxt, union(rest)) > acur - 1:
             raise RuntimeError("connectivity failed to decrease after contraction")
         c0, res = recurse(nxt, rest, xnxt, acur - 1)
         return first | c0, res
@@ -313,79 +300,3 @@ def check_no_stack_in_projection(m: Matroid, x: int, q: int, h: int,
             results[t] = None if top is None else find_stack(mx, q, h + 1, t)
         results[t_max] = top
     return NoStackReport(h, results)
-
-
-@dataclass(frozen=True)
-class FlatResult:
-    minor: Matroid
-    pg_restriction: int
-    flat: int
-
-
-def _half_conn_holds(m: Matroid, r_mask: int, y: int) -> bool:
-    """2 * conn(X, Y) <= r(X) for every X inside the geometry mask.
-
-    Checked on the flats of M|R only: X and cl(X) & R have the same rank
-    and the same connectivity to Y, and every such closure is a flat.
-    """
-    ry = m.rank(y)
-    rm = m.restrict(r_mask)
-    for k in range(rm.rank() + 1):
-        for fl in rm.flats_of_rank(k):
-            if 2 * (k + ry - m.rank(fl | y)) > k:
-                return False
-    return True
-
-
-def find_low_conn_flat(m: Matroid, r_mask: int, cert: StackCert, k: int) -> FlatResult:
-    """Produce (M, R, K): a rank-k flat K at most half-connected to every
-    subset of the geometry restriction R.
-
-    Grows a maximal J with the half-connectivity property, scanning the
-    elements outside R in order, and answers with a rank-k subflat of
-    cl(J), re-verified over the flats of M|R.  Once the premises hold,
-    r(J) >= k always:
-
-    - Every element lies in J or in cl(J u R).  For e outside cl(J u R),
-      conn(X, J + e) = conn(X, J) for every X inside R, so e passed the
-      test when it was scanned.  Hence r(M) <= r(J) + r(R).
-    - k = 1.  If r(J) = 0, a nonloop e outside R and parallel to no
-      point of R has conn(X, {e}) = 1 only when e lies in cl(X), so only
-      for r(X) >= 2, and e would have joined J.  So every nonloop
-      outside R is parallel to a point of R, si(M) = PG(n-1, q) is
-      GF(q)-representable, and the certificate was refused.
-    - k = 2.  The 16 layers of rank >= 2 give r(M) >= 32, so r(J) <= 1
-      needs r(R) >= 31: at least 2^31 - 1 points, beyond core.MAX_GROUND.
-    - k >= 3.  81 layers need r(M) >= 162 > core.MAX_GROUND.
-    """
-    if k < 0:
-        raise InputError("need k >= 0")
-    check = verify_stack(m, cert)
-    if not check.ok:
-        raise PremiseError(f"supplied certificate invalid: {check.reason}")
-    if cert.height < k ** 4:
-        raise PremiseError(f"need a stack of k^4 = {k ** 4} layers, have {cert.height}")
-    # R need not span M; the half-connectivity postcondition is what
-    # gets verified on success
-    if not rep.is_pg(m.restrict(r_mask), m.rank(r_mask), cert.q):
-        raise PremiseError("R is not a projective geometry restriction")
-    if k == 0:
-        return FlatResult(m, r_mask, m.closure(0))
-
-    j = 0
-    for e in bits(m.ground & ~r_mask):
-        be = 1 << e
-        if _half_conn_holds(m, r_mask, j | be):
-            j |= be
-    if m.rank(j) < k:
-        raise RuntimeError(f"grown J has rank {m.rank(j)} < k = {k} although the premises hold")
-    kb = 0
-    for e in bits(m.basis_of(j)):
-        kb |= 1 << e
-        if kb.bit_count() == k:
-            break
-    flat = m.closure(kb)
-    if not _half_conn_holds(m, r_mask, flat):
-        raise RuntimeError("grown flat failed the half-connectivity re-check")
-    return FlatResult(m, r_mask, flat)
-

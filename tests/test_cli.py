@@ -249,6 +249,22 @@ def test_verify_dumps_counterexample(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "counterexample_lem10_trial0.mtd").exists()
 
 
+def test_verify_keeps_its_verdict_when_a_dump_cannot_be_written(tmp_path, capsys,
+                                                                 monkeypatch):
+    from mdl import harness
+    from mdl.core import UniformMatroid
+
+    monkeypatch.setitem(harness.SUITES, "lem10", lambda rng, i, seed: (
+        UniformMatroid(2, 4), lambda: (False, "synthetic failure")))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "counterexample_lem10_trial0.mtd").mkdir()
+    code, out, err = run(capsys, "verify", "lem10", "--trials", "1")
+    assert code == 1 and err == ""
+    assert out == "trial=0 pass=False synthetic failure\nlemma=lem10 passed=0/1\n"
+    code, out, _ = run(capsys, "verify", "lem10", "--trials", "1", "--json")
+    assert code == 1 and "dump" not in json.loads(out)["trials"][0]
+
+
 def test_gen_seed_determinism(tmp_path, capsys):
     a, b = str(tmp_path / "a.mtd"), str(tmp_path / "b.mtd")
     run(capsys, "gen", "linear_random", "3", "8", "2", "--seed", "9", "-o", a)
@@ -438,3 +454,40 @@ def test_runtime_imports_are_stdlib_or_mdl():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "mdl" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_every_public_definition_is_reached():
+    """Reach or remove: each public module-level def or class of src/mdl
+    is referred to by another src/mdl definition (by name, attribute or
+    import alias; a docstring does not count), is in mdl.__all__, is the
+    handler cmd_<name> of a cli.COMMANDS entry, or is named in
+    tests/test_acceptance.py."""
+    from mdl import cli
+
+    def names(node):
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.alias):
+                out.update({n.name, n.asname} - {None})
+        return out
+
+    public, refs = [], []  # (module, name); (module, owner or None, names)
+    for path in sorted(pathlib.Path(mdl.__path__[0]).glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if not owner.startswith("_"):
+                    public.append((path.stem, owner))
+            refs.append((path.stem, owner, names(stmt)))
+    acceptance = pathlib.Path(__file__).with_name("test_acceptance.py")
+    reached = (set(mdl.__all__) | {f"cmd_{c}" for c in cli.COMMANDS}
+               | names(ast.parse(acceptance.read_text(encoding="utf-8"))))
+    unreached = [f"{mod}.{name}" for mod, name in public
+                 if name not in reached
+                 and not any(name in used for m, o, used in refs if (m, o) != (mod, name))]
+    assert unreached == []

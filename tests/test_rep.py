@@ -188,6 +188,39 @@ def test_rank_zero_and_one():
     assert rep.is_representable(par, 2).representable
 
 
+def low_rank_corpus(q):
+    """Rank-0 and rank-1 inputs over GF(q): all-loop matrices, one point
+    with parallels and loops, U(0,n), U(1,n) and contractions to rank 1."""
+    f = gf.field(q)
+    for rows, n in ((0, 0), (0, 2), (1, 1), (2, 3)):
+        yield LinearMatroid(gf.Matrix.from_columns(f, [(0,) * rows] * n, rows))
+    c = 2 % q if q > 2 else 1
+    yield LinearMatroid(gf.Matrix.from_columns(f, [(0, 0), (1, 0), (0, 0), (c, 0)], 2))
+    for n in (0, 1, 3):
+        yield UniformMatroid(0, n)
+    for n in (1, 2, 5):
+        yield UniformMatroid(1, n)
+    m = catalog.gen("linear_random", (3, 7, q), seed=q)
+    assert m.rank() == 3
+    yield m.contract(mask_of(list(bits(m.basis_of(m.ground)))[:2]))
+    yield UniformMatroid(3, 5).contract(0b11)
+
+
+def test_low_rank_search_matches_reference():
+    """Rank 0 and rank 1 go through the general search: the same verdict
+    and matrix as the reference's early exits."""
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m in low_rank_corpus(q):
+            assert m.rank() <= 1
+            want, _ = rep_reference.reference_is_representable(m, q)
+            got = rep.is_representable(m, q)
+            assert got.representable == want.representable, (m, q)
+            assert got.matrix.columns() == want.matrix.columns(), (m, q)
+            checked += 1
+    assert checked == 7 * 13
+
+
 # -- the flat re-check against an all-subsets reference ---------------------
 
 
