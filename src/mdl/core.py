@@ -28,11 +28,11 @@ EXHAUSTIVE_LIMIT = 14
 class Matroid:
     """Base class: a ground mask plus a memoized rank oracle.
 
-    Subclasses implement ``_rank_impl`` on subsets of ``ground`` and may
-    override ``closure``, ``_spanned`` (the part of a closure a minor's
-    closure asks of its base) and ``_classes`` (the step
+    Three hooks: subclasses implement ``_rank_impl`` on subsets of
+    ``ground``, and may override ``_spanned`` (the part of cl(x) inside
+    a mask, all that ``closure`` asks) and ``_classes`` (the step
     ``flats_of_rank`` takes from a flat to the flats covering it) with
-    something faster than the generic scans.
+    something faster than their scans of rank queries.
     """
 
     kind = "abstract"
@@ -77,20 +77,20 @@ class Matroid:
     # -- derived notions ------------------------------------------------
 
     def closure(self, x: int) -> int:
-        rx = self.rank(x)
-        cl = x
-        for e in bits(self.ground & ~x):
-            if self.rank(x | (1 << e)) == rx:
-                cl |= 1 << e
-        return cl
+        return x | self._spanned(x, self.ground & ~x)
 
     def _spanned(self, x: int, mask: int) -> int:
         """The elements of mask outside x that lie in cl(x).
 
         A minor asks this of its base with mask its own live elements, so
-        a base that can test elements one by one skips the dead ones.
+        the scan skips the dead ones.
         """
-        return self.closure(x) & mask & ~x
+        rx = self.rank(x)
+        out = 0
+        for e in bits(mask & ~x):
+            if self.rank(x | (1 << e)) == rx:
+                out |= 1 << e
+        return out
 
     def _classes(self, x: int, mask: int) -> list[int]:
         """Group the elements e of mask, none in cl(x), by cl(x + e).
@@ -251,10 +251,8 @@ class UniformMatroid(Matroid):
     def _rank_impl(self, x: int) -> int:
         return min(x.bit_count(), self.r)
 
-    def closure(self, x: int) -> int:
-        if self.r == 0 or x.bit_count() >= self.r:
-            return self.ground
-        return x
+    def _spanned(self, x: int, mask: int) -> int:
+        return mask & ~x if x.bit_count() >= self.r else 0
 
 
 class LinearMatroid(Matroid):
@@ -270,9 +268,6 @@ class LinearMatroid(Matroid):
 
     def _rank_impl(self, x: int) -> int:
         return len(gf.echelon(self.field, self._vecs, x))
-
-    def closure(self, x: int) -> int:
-        return x | self._spanned(x, self.ground & ~x)
 
     def _spanned(self, x: int, mask: int) -> int:
         """Span membership test against an echelon basis of x's columns."""
@@ -318,8 +313,8 @@ class MinorMatroid(Matroid):
             raise IndexError("subset contains elements outside the ground set")
         return self._rank_impl(x)
 
-    def closure(self, x: int) -> int:
-        return x | self.base._spanned(x | self.contracted, self.ground & ~x)
+    def _spanned(self, x: int, mask: int) -> int:
+        return self.base._spanned(x | self.contracted, mask)
 
     def _classes(self, x: int, mask: int) -> list[int]:
         return self.base._classes(x | self.contracted, mask)
@@ -381,9 +376,6 @@ class DirectSumMatroid(Matroid):
     def _rank_impl(self, x: int) -> int:
         return sum(part.rank(lm) for part, lm in zip(self.parts, self._split(x)))
 
-    def closure(self, x: int) -> int:
-        return x | self._spanned(x, self.ground & ~x)
-
     def _spanned(self, x: int, mask: int) -> int:
         out = 0
         for i, (part, xl, ml) in enumerate(zip(self.parts, self._split(x), self._split(mask))):
@@ -431,14 +423,6 @@ class ParallelExtensionMatroid(Matroid):
 
     def _rank_impl(self, x: int) -> int:
         return self.base.rank(self._project(x))
-
-    def closure(self, x: int) -> int:
-        cl_base = self.base.closure(self._project(x))
-        out = cl_base
-        for i, orig in enumerate(self.originals):
-            if (cl_base >> orig) & 1:
-                out |= 1 << (self.base.n + i)
-        return out
 
 
 def direct_sum(parts: Sequence[Matroid]) -> DirectSumMatroid:

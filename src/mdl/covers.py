@@ -64,16 +64,6 @@ class DensityParams:
             raise InputError("need lam >= 0")
 
 
-def _representative_universe(m: Matroid) -> int:
-    """One element per parallel class; loops lie in every flat anyway."""
-    reps = 0
-    loops = m.loops()
-    for p in m.flats_of_rank(1):
-        nz = p & ~loops
-        reps |= nz & -nz
-    return reps
-
-
 def _bound_scale(s: int) -> list[int]:
     """[0, L, L/2, ..., L/s] with L = lcm(1..s): the common denominator
     of every share w_S / |S & U| that `_fractional_bound` adds up."""
@@ -82,7 +72,7 @@ def _bound_scale(s: int) -> list[int]:
 
 
 def _fractional_bound(uncovered: int, cands: list[int], weights: list[int],
-                      scale: list[int], levels: list[tuple[int, int]] | None = None) -> int:
+                      scale: list[int], levels: list[tuple[int, int]]) -> int:
     """Least weight that any cover of `uncovered` by `cands` still needs.
 
     y_e = min over candidates S through e of w_S / |S & uncovered| is a
@@ -92,8 +82,8 @@ def _fractional_bound(uncovered: int, cands: list[int], weights: list[int],
     bucketed by their share in units of 1/L, L = scale[1], and each
     element takes the least bucket it lies in.  `scale` is
     _bound_scale(s) for an s no smaller than any |S & uncovered|.
-    When `levels` is given, the packing is appended to it as pairs
-    (share v, elements with y_e = v / L), one per share in use.
+    The packing is appended to `levels` as pairs (share v, elements
+    with y_e = v / L), one per share in use.
     """
     buckets: dict[int, int] = {}
     for c, w in zip(cands, weights):
@@ -107,8 +97,7 @@ def _fractional_bound(uncovered: int, cands: list[int], weights: list[int],
         if hit:
             total += v * hit.bit_count()
             uncovered &= ~hit
-            if levels is not None:
-                levels.append((v, hit))
+            levels.append((v, hit))
             if not uncovered:
                 break
     return -(-total // scale[1])
@@ -270,7 +259,7 @@ def tau(m: Matroid, a: int) -> CoverResult:
     cands = m.flats_of_rank(a)
     if len(cands) > CANDIDATE_CAP:
         raise CapExceeded(f"tau: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
-    universe = _representative_universe(m)
+    universe = m.simplify()[0].ground
     value, sel = _min_cover(universe, cands, [1] * len(cands))
     return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel))))
 
@@ -287,7 +276,7 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
     if m.ground == 0:
         return CoverResult(0, Cover(()))
     r = m.rank()
-    universe = _representative_universe(m)
+    universe = m.simplify()[0].ground
     if universe == 0:
         # all loops: the single rank-0 set E(M)
         return CoverResult(1, Cover((m.ground,)))

@@ -22,6 +22,9 @@ tests further columns against them, and `classes` groups further
 columns by the span they add to the pivots; the last two share one
 reduction step, `_residuals`.  Linear matroid ranks, closures and
 flats and the representability search's span checks all use them.
+
+`point_index` and `point_vector` are the one numbering of the points of
+PG(r-1, q); `normalized_vectors` lists the points in that order.
 """
 
 from __future__ import annotations
@@ -328,28 +331,39 @@ def rank_of_vectors(f: FiniteField, vectors: Iterable[Sequence[int]]) -> int:
     return len(echelon(f, vecs, (1 << len(vecs)) - 1))
 
 
+def point_index(f: FiniteField, w) -> int:
+    """The index of the point of PG(r-1, q) through the nonzero vector w.
+
+    Points are numbered in lex order of their vectors scaled to leading
+    coordinate 1.  The index is the tail after that 1 read as a numeral
+    in bijective base q, digit c counting as c + 1.
+    """
+    for i, a in enumerate(w):
+        if a:
+            break
+    row, q, x = f.mul_table[f.inv_table[a]], f.q, 0
+    for c in w[i + 1:]:
+        x = x * q + row[c] + 1
+    return x
+
+
+def point_vector(p: int, q: int, r: int) -> tuple[int, ...]:
+    """The vector of length r, leading coordinate 1, of the point with index p."""
+    tail = []
+    while p:
+        p -= 1
+        tail.append(p % q)
+        p //= q
+    return (0,) * (r - 1 - len(tail)) + (1,) + tuple(reversed(tail))
+
+
 def normalized_vectors(f: FiniteField, r: int) -> list[tuple[int, ...]]:
     """All vectors of GF(q)^r with leading nonzero coordinate 1, lex order.
 
     One representative per 1-dimensional subspace: the points of the
-    rank-r projective geometry over GF(q).
+    rank-r projective geometry over GF(q), in `point_index` order.
     """
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], leading_seen: bool):
-        if len(prefix) == r:
-            if leading_seen:
-                out.append(prefix)
-            return
-        if not leading_seen:
-            rec(prefix + (0,), False)
-            rec(prefix + (1,), True)
-        else:
-            for c in range(f.q):
-                rec(prefix + (c,), True)
-
-    rec((), False)
-    return out
+    return [point_vector(p, f.q, r) for p in range((f.q ** r - 1) // (f.q - 1))]
 
 
 def matrix_rank(m: Matrix, column_subset: Iterable[int] | None = None) -> int:

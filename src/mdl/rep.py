@@ -13,10 +13,9 @@ pinned to identity columns and every other column is normalized to
 leading coordinate 1, removing basis-change and column-scaling freedom:
 the columns are points of PG(r-1, q).  The search names a point by its
 index, its rank in lex order among the normalized vectors.  The index
-is computed, not looked up: the tail after the leading 1 read as a
-numeral in bijective base q, digit c counting as c + 1 (`_index`,
-`_vector`), so no list of the θ(r, q) = (q^r - 1)/(q - 1) points is
-built.  Candidates are tried in increasing index, which is lex order.
+is computed, not looked up (`gf.point_index`, `gf.point_vector`), so no
+list of the θ(r, q) = (q^r - 1)/(q - 1) points is built.  Candidates
+are tried in increasing index, which is lex order.
 Remaining elements are assigned in order of decreasing constraint
 (membership count in lines).
 
@@ -94,27 +93,6 @@ def _rank_functions_match(simp: Matroid, f: gf.FiniteField,
     return True
 
 
-def _index(f: gf.FiniteField, w) -> int:
-    """The index of the point of the nonzero vector w."""
-    for i, a in enumerate(w):
-        if a:
-            break
-    row, q, x = f.mul_table[f.inv_table[a]], f.q, 0
-    for c in w[i + 1:]:
-        x = x * q + row[c] + 1
-    return x
-
-
-def _vector(p: int, q: int, r: int) -> tuple[int, ...]:
-    """The vector of length r, leading coordinate 1, of the point with index p."""
-    tail = []
-    while p:
-        p -= 1
-        tail.append(p % q)
-        p //= q
-    return (0,) * (r - 1 - len(tail)) + (1,) + tuple(reversed(tail))
-
-
 def _span(f: gf.FiniteField, r: int, pts) -> frozenset[int]:
     """The indices of the points in the span of the points pts.
 
@@ -130,7 +108,7 @@ def _span(f: gf.FiniteField, r: int, pts) -> frozenset[int]:
     for p in pts:
         if p in out:
             continue
-        b = _vector(p, f.q, r)
+        b = gf.point_vector(p, f.q, r)
         multiples = [[mul_t[c][y] for y in b] for c in range(1, f.q)]
         found = [b]
         for u in vecs:
@@ -138,7 +116,7 @@ def _span(f: gf.FiniteField, r: int, pts) -> frozenset[int]:
                 found.append([add_t[x][y] for x, y in zip(u, cb)])
         vecs += found
         out.add(p)
-        out.update(_index(f, w) for w in found[1:])
+        out.update(gf.point_index(f, w) for w in found[1:])
     return frozenset(out)
 
 
@@ -193,7 +171,7 @@ def is_representable(m: Matroid, q: int) -> RepResult:
     rest = [e for e in els if e not in basis_els]
     rest.sort(key=lambda e: (-line_count[e], e))
     order = basis_els + rest
-    units = [_index(f, [int(i == j) for i in range(r)]) for j in range(r)]
+    units = [gf.point_index(f, [int(i == j) for i in range(r)]) for j in range(r)]
 
     # the flats of rank 2 to r - 1 through each element, with their ranks
     through: dict[int, list[tuple[int, int]]] = {e: [] for e in els}
@@ -221,7 +199,7 @@ def is_representable(m: Matroid, q: int) -> RepResult:
     def search(idx: int, assigned_mask: int):
         nonlocal nodes
         if idx == len(order):
-            assign = {e: _vector(p, q, r) for e, p in point.items()}
+            assign = {e: gf.point_vector(p, q, r) for e, p in point.items()}
             return assign if _rank_functions_match(simp, f, assign) else None
         nodes += 1
         if nodes > NODE_CAP:

@@ -491,3 +491,17 @@ def test_every_public_definition_is_reached():
                  if name not in reached
                  and not any(name in used for m, o, used in refs if (m, o) != (mod, name))]
     assert unreached == []
+
+
+def test_only_the_base_matroid_defines_closure():
+    """One closure protocol: Matroid.closure is x plus _spanned of the
+    rest, and no other class in src/mdl defines closure, so every fast
+    path is a _spanned (or _classes) override."""
+    owners = []
+    for path in sorted(pathlib.Path(mdl.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and d.name == "closure"
+                    for d in node.body):
+                owners.append(f"{path.stem}.{node.name}")
+    assert owners == ["core.Matroid"]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mdl import gf
 from mdl.bits import bits, mask_of, submasks
 from mdl.core import (DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid,
-                      UniformMatroid, direct_sum, parallel_extension,
-                      validate_rank_axioms)
+                      ParallelExtensionMatroid, UniformMatroid, direct_sum,
+                      parallel_extension, validate_rank_axioms)
 from mdl import catalog
 
 
@@ -291,6 +291,59 @@ def test_parallel_extension():
     assert pe.rank((1 << i0) | 0b0001) == 1  # copy parallel to original
     assert pe.rank((1 << i0) | (1 << i2)) == 2
     assert pe.closure(0b0001) == 0b0001 | (1 << i0)
+
+
+# -- closure protocol against rank queries ------------------------------
+
+
+def rank_closure(m, x):
+    """x plus every element e with r(x + e) = r(x), from m.rank alone."""
+    rx = m.rank(x)
+    return x | mask_of(e for e in bits(m.ground & ~x) if m.rank(x | 1 << e) == rx)
+
+
+def closure_corpus():
+    """Every kind of matroid that answers closures, each with its minors:
+    uniform ones of rank 0, r and n, linear ones with a loop and a
+    parallel pair, direct sums with uniform, minor and empty parts, and
+    parallel extensions."""
+    lin2 = linear(2, [(1, 0, 0), (0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    lin3 = linear(3, [(1, 0, 0), (0, 1, 0), (2, 0, 0), (0, 0, 0), (1, 1, 1), (1, 2, 0),
+                      (0, 1, 2), (1, 0, 1), (2, 2, 1), (0, 0, 1)])
+    lin4 = linear(4, [(1, 2, 0, 0), (0, 0, 0, 0), (0, 1, 3, 1), (2, 3, 0, 0), (1, 1, 1, 1),
+                      (0, 0, 1, 2), (1, 0, 0, 3), (3, 2, 1, 0), (0, 1, 0, 0), (1, 3, 2, 2),
+                      (2, 0, 1, 1), (0, 2, 3, 0)])
+    minor = lin3.contract(0b1).delete(0b100000)
+    nested = minor.contract(0b10000).delete(0b1000000000)
+    sums = [direct_sum([UniformMatroid(2, 3), minor, UniformMatroid(0, 0)]),
+            direct_sum([lin2, UniformMatroid(0, 1), lin2.delete(lin2.ground)]),
+            direct_sum([direct_sum([UniformMatroid(1, 2), nested]), UniformMatroid(3, 3)])]
+    ext = parallel_extension(lin2, [0, 3, 6])
+    out = [UniformMatroid(0, 5), UniformMatroid(3, 7), UniformMatroid(6, 6), UniformMatroid(4, 11),
+           lin2, lin3, lin4, minor, nested, lin4.contract(0b100100).delete(0b1),
+           ext, ext.contract(0b1000).delete(1 << ext.copy_index(1))]
+    for m in sums:
+        out += [m, m.contract(0b10).delete(1 << (m.n - 1))]
+    return out
+
+
+def test_closure_protocol_matches_rank_scan():
+    """closure(x) is x plus what rank queries put in cl(x), and
+    _spanned(x, mask) is closure(x) & mask & ~x: on every subset of a
+    ground of at most 8 elements, and on seeded samples above that."""
+    rng = random.Random(2013)
+    corpus = closure_corpus()
+    assert {type(m) for m in corpus} == {UniformMatroid, LinearMatroid, MinorMatroid,
+                                        DirectSumMatroid, ParallelExtensionMatroid}
+    assert max(m.size() for m in corpus) > 8
+    for m in corpus:
+        xs = list(submasks(m.ground)) if m.size() <= 8 else [
+            rng.getrandbits(m.n) & m.ground for _ in range(300)]
+        for x in xs:
+            cl = rank_closure(m, x)
+            assert m.closure(x) == cl, (m, x)
+            for mask in (m.ground, m.ground & ~x, 0, rng.getrandbits(m.n) & m.ground):
+                assert m._spanned(x, mask) == cl & mask & ~x, (m, x, mask)
 
 
 # -- axiom validation ------------------------------------------------------

@@ -429,7 +429,7 @@ def test_fractional_bound_between_count_and_optimum(weighted):
     (two 3-sets of weight 2 on 4 elements: 8/3 against 4), so there the
     count it is held to is ceil(|U| * min weight / s)."""
     rng = random.Random(f"fractional_bound:{weighted}")
-    assert covers._fractional_bound(0b1111, [0b0111, 0b1110], [2, 2], covers._bound_scale(3)) == 3
+    assert covers._fractional_bound(0b1111, [0b0111, 0b1110], [2, 2], covers._bound_scale(3), []) == 3
     checked = 0
     for _ in range(1000):
         universe, cands, weights = random_cover_instance(rng, weighted)
@@ -452,7 +452,7 @@ def test_fractional_bound_between_count_and_optimum(weighted):
                 count = -(-left.bit_count() * min_w // s)
             else:
                 count = -(-left.bit_count() // s)
-            frac = covers._fractional_bound(left, cands, weights, scale)
+            frac = covers._fractional_bound(left, cands, weights, scale, [])
             assert count <= frac <= reference_min_cover(left, cands, weights)[0]
             checked += 1
     assert checked > 1500

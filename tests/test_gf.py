@@ -1,4 +1,5 @@
-"""Field table axioms (exhaustive) and matrix rank behavior."""
+"""Field table axioms (exhaustive), matrix rank behavior, and the PG point
+codec against the recursive enumerator it replaced."""
 
 import itertools
 
@@ -146,6 +147,38 @@ def test_matrix_entry_validation():
         gf.Matrix(f, 1, 2, [[1, 3]])
     with pytest.raises(ValueError):
         gf.Matrix(f, 2, 2, [[1, 1]])
+
+
+def reference_normalized_vectors(f, r):
+    """The recursive enumerator `gf.normalized_vectors` once was."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], leading_seen: bool):
+        if len(prefix) == r:
+            if leading_seen:
+                out.append(prefix)
+            return
+        if not leading_seen:
+            rec(prefix + (0,), False)
+            rec(prefix + (1,), True)
+        else:
+            for c in range(f.q):
+                rec(prefix + (c,), True)
+
+    rec((), False)
+    return out
+
+
+@pytest.mark.parametrize("q, top", [(2, 4), (3, 4), (4, 4), (5, 4), (7, 4), (8, 4), (9, 4),
+                                    (16, 3), (25, 3), (27, 3), (32, 3)])
+def test_point_codec_order_matches_recursive_enumerator(q, top):
+    """normalized_vectors, built from point_vector, lists the points in
+    the recursive enumerator's lex order, and point_index inverts it."""
+    f = gf.field(q)
+    for r in range(top + 1):
+        pts = gf.normalized_vectors(f, r)
+        assert pts == reference_normalized_vectors(f, r)
+        assert [gf.point_index(f, v) for v in pts] == list(range(len(pts)))
 
 
 def test_normalized_vectors_are_projective_points():

@@ -348,16 +348,17 @@ def test_long_line_never_reaches_the_search(monkeypatch):
 
 
 def test_point_indices_are_lex_ranks():
-    """_vector and _index agree with gf.normalized_vectors, scaled or not."""
+    """gf.point_vector and gf.point_index agree with gf.normalized_vectors
+    (held to a recursive enumerator in test_gf), scaled or not."""
     rng = random.Random(15)
     for q in (2, 3, 4, 5, 7, 8, 9):
         f = gf.field(q)
         for r in (1, 2, 3, 4):
             pts = gf.normalized_vectors(f, r)
-            assert [rep._vector(i, q, r) for i in range(len(pts))] == pts
+            assert [gf.point_vector(i, q, r) for i in range(len(pts))] == pts
             for i, v in enumerate(pts):
                 c = rng.randrange(1, q)
-                assert rep._index(f, v) == rep._index(f, [f.mul(c, x) for x in v]) == i
+                assert gf.point_index(f, v) == gf.point_index(f, [f.mul(c, x) for x in v]) == i
 
 
 def test_span_against_ranks():
