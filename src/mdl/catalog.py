@@ -21,6 +21,13 @@ per file, later blocks may reference earlier names:
     delete <i> <i> ...
     parts <name> <name>  # direct_sum
     end
+
+A block's nesting is 0 for linear and uniform, one more than its
+deepest part for direct_sum, and for minor one more than its base's,
+or the same when the base is itself a minor (minors of minors flatten
+into one view) or nothing is contracted or deleted (the base itself).
+Rank queries recurse once per level, so a block that nests deeper than
+MAX_NESTING is refused before it is built.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ from .core import (MAX_GROUND, DirectSumMatroid, LinearMatroid, Matroid, MinorMa
 from .errors import InputError
 
 RNG_ALGORITHM = "mt19937"
+
+# nesting of minor and direct_sum views a file may build; a query takes
+# about three stack frames per level, far below Python's recursion limit
+MAX_NESTING = 100
 
 
 def _linear(q: int, columns: Sequence[Sequence[int]], rows: int) -> LinearMatroid:
@@ -192,6 +203,7 @@ def read_matroid(path: str) -> Matroid:
         raise ParseError(path, exc.object[:exc.start].count(b"\n") + 1,
                          f"not UTF-8 text: {exc}") from None
     named: dict[str, Matroid] = {}
+    nesting: dict[str, int] = {}
     last: Matroid | None = None
     block: dict | None = None
 
@@ -232,8 +244,13 @@ def read_matroid(path: str) -> Matroid:
             elif key == "parts":
                 block["parts"] = tokens[1:]
             elif key == "end":
+                level = _nesting(block, named, nesting)
+                if level > MAX_NESTING:
+                    fail(block["line"], f"block {block['name']!r} nests {level} views deep, "
+                         f"over the cap {MAX_NESTING}")
                 m = _build_block(path, block, named)
                 named[block["name"]] = m
+                nesting[block["name"]] = level
                 last = m
                 block = None
             else:
@@ -247,6 +264,21 @@ def read_matroid(path: str) -> Matroid:
     if last is None:
         raise ParseError(path, len(raw), "file defines no matroid")
     return last
+
+
+def _nesting(block: dict, named: dict[str, Matroid], nesting: dict[str, int]) -> int:
+    """How deep the block's matroid nests views (see the module docstring).
+
+    Unknown names count 0 here; `_build_block` refuses them.
+    """
+    kind = block.get("kind")
+    if kind == "minor":
+        of = block.get("of")
+        views = block.get("contract") or block.get("delete")
+        return nesting.get(of, 0) + bool(views and not isinstance(named.get(of), MinorMatroid))
+    if kind == "direct_sum":
+        return 1 + max((nesting.get(nm, 0) for nm in block.get("parts", [])), default=0)
+    return 0
 
 
 def _build_block(path: str, block: dict, named: dict[str, Matroid]) -> Matroid:

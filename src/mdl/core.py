@@ -164,20 +164,30 @@ class Matroid:
         """Number of points (rank-1 flats), i.e. parallel classes of nonloops."""
         return len(self.flats_of_rank(1))
 
+    def representatives(self) -> int:
+        """The least element of each nonloop parallel class, as a mask.
+
+        These are the points of si(M); every rank-1 flat holds exactly one.
+        """
+        loops = self.flats_of_rank(0)[0]
+        keep = 0
+        for p in self.flats_of_rank(1):
+            nz = p & ~loops
+            keep |= nz & -nz
+        return keep
+
     def simplify(self) -> tuple["Matroid", dict[int, int | None]]:
-        """Delete loops and parallel copies, keeping the least index per class.
+        """Delete loops and parallel copies, keeping `representatives`.
 
         Returns the restriction and a mapping element -> representative
         (None for loops).
         """
-        loops = self.loops()
+        keep = self.representatives()
+        loops = self.flats_of_rank(0)[0]
         mapping: dict[int, int | None] = {e: None for e in bits(loops)}
-        keep = 0
         for p in self.flats_of_rank(1):
-            nz = p & ~loops
-            rep = (nz & -nz).bit_length() - 1
-            keep |= 1 << rep
-            for e in bits(nz):
+            rep = (p & keep).bit_length() - 1
+            for e in bits(p & ~loops):
                 mapping[e] = rep
         return self.delete(self.ground & ~keep), mapping
 

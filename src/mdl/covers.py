@@ -259,7 +259,7 @@ def tau(m: Matroid, a: int) -> CoverResult:
     cands = m.flats_of_rank(a)
     if len(cands) > CANDIDATE_CAP:
         raise CapExceeded(f"tau: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
-    universe = m.simplify()[0].ground
+    universe = m.representatives()
     value, sel = _min_cover(universe, cands, [1] * len(cands))
     return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel))))
 
@@ -276,7 +276,7 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
     if m.ground == 0:
         return CoverResult(0, Cover(()))
     r = m.rank()
-    universe = m.simplify()[0].ground
+    universe = m.representatives()
     if universe == 0:
         # all loops: the single rank-0 set E(M)
         return CoverResult(1, Cover((m.ground,)))

@@ -1,10 +1,12 @@
-"""GF(q)-representability: a verdict from the input's own field, else a search.
+"""GF(q)-representability: a verdict from the input's own field or its
+rank, else a search.
 
 `representable` answers True at once for a matrix over a subfield of
 GF(q), or a minor of one (the class is minor-closed), and so decides
-`is_pg` on such an input by its rank and point count alone.  Every other
-verdict, and every matrix, comes from `is_representable`'s backtracking
-coordinatization, described below.
+`is_pg` on such an input by its rank and point count alone.  It answers
+every input of rank at most 2 by its point count: U_{2,q+2} is the only
+obstruction there.  Every other verdict, and every matrix, comes from
+`is_representable`'s backtracking coordinatization, described below.
 
 The searcher works on the simplification: loops map to the zero vector
 and parallel elements share a column, so representability of the input
@@ -244,13 +246,20 @@ def representable(m: Matroid, q: int) -> bool:
       map, and M/C is the column matroid of their images;
     - GF(p^a) embeds in GF(p^b) iff a | b, and the rank of a set of
       vectors does not change under field extension.
-    No matrix is produced, so there is nothing to re-check.  Every other
-    input gets `is_representable`'s verdict, with its caps.
+    Every input of rank at most 1 is representable: all its nonloops
+    share one point.  A rank-2 input is representable iff it has at most
+    q + 1 points: si(M) is U_{2,ε}, since every two of its points span
+    it, and PG(1, q) has q + 1 points.  Neither needs a search, so
+    neither meets its caps.  No matrix is produced, so there is nothing
+    to re-check.  Every other input, of rank 3 or more, gets
+    `is_representable`'s verdict, with its caps.
     """
     f = gf.field(q)  # refuses a q that is not a field order
     base = m.base if isinstance(m, MinorMatroid) else m
     if isinstance(base, LinearMatroid) and base.field.p == f.p and f.k % base.field.k == 0:
         return True
+    if m.rank() <= 2:
+        return m.rank() < 2 or m.epsilon() <= q + 1
     return is_representable(m, q).representable
 
 

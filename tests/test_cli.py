@@ -116,6 +116,17 @@ def test_stack_find_none_exit_code(tmp_path, capsys):
     assert code == 1 and "found=False" in out
 
 
+def test_stack_find_on_a_line_past_the_search_cap(tmp_path, capsys):
+    # U(2, 50) has more points than the representability search takes,
+    # but a rank-2 layer's verdict is its point count: 50 > 7 + 1
+    f = str(tmp_path / "u250.mtd")
+    run(capsys, "gen", "uniform", "2", "50", "-o", f)
+    code, out, err = run(capsys, "stack", "find", f, "--q", "7", "--h", "1", "--t", "2")
+    assert (code, err) == (0, "") and "found=True" in out
+    code, out, err = run(capsys, "rep", f, "--q", "7")
+    assert code == 2 and err == "error: representability cap: 50 points > 40\n"
+
+
 def test_cover_thm4(tmp_path, capsys):
     f = str(tmp_path / "pg.mtd")
     run(capsys, "gen", "pg", "3", "2", "-o", f)

@@ -346,6 +346,29 @@ def test_closure_protocol_matches_rank_scan():
                 assert m._spanned(x, mask) == cl & mask & ~x, (m, x, mask)
 
 
+def reference_simplify_mapping(m):
+    """Reference for simplify's mapping, by its own scan of the points:
+    each nonloop maps to the least element of its parallel class, each
+    loop to None."""
+    loops = m.loops()
+    mapping = {e: None for e in bits(loops)}
+    for p in m.flats_of_rank(1):
+        nz = p & ~loops
+        for e in bits(nz):
+            mapping[e] = (nz & -nz).bit_length() - 1
+    return mapping
+
+
+def test_representatives_are_the_simplification():
+    for m in closure_corpus():
+        simp, mapping = m.simplify()
+        keep = m.representatives()
+        assert keep == simp.ground, m
+        assert keep.bit_count() == m.epsilon() and keep & m.loops() == 0, m
+        assert mapping == reference_simplify_mapping(m), m
+        assert {e for e, rep in mapping.items() if rep == e} == set(bits(keep)), m
+
+
 # -- axiom validation ------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import pytest
 from mdl import catalog, covers, gf
 from mdl.bits import bits, ksubsets, mask_of, submasks
 from mdl.cli import main
-from mdl.core import LinearMatroid, UniformMatroid, direct_sum
+from mdl.core import LinearMatroid, Matroid, UniformMatroid, direct_sum
 from mdl.errors import CapExceeded, UniformMinorDetected
 
 INF = covers.INF
@@ -97,6 +97,25 @@ def test_tau_matches_brute_force(mi, a):
 def test_tau_weighted_matches_brute_force(mi, d):
     m = SMALL_CORPUS[mi]
     assert covers.tau_weighted(m, d).value == brute_tau_weighted(m, d)
+
+
+def test_covers_read_the_points_without_simplifying(monkeypatch):
+    """tau and tau_weighted take their universe from
+    `Matroid.representatives`, and build no simplification."""
+    calls = []
+    simplify = Matroid.simplify
+
+    def counted(self):
+        calls.append(self)
+        return simplify(self)
+
+    monkeypatch.setattr(Matroid, "simplify", counted)
+    for m in SMALL_CORPUS + [catalog.gen("pg", (4, 2)).contract(0b1)]:
+        for a in range(m.rank() + 1):
+            covers.tau(m, a)
+        for d in (1, 2):
+            covers.tau_weighted(m, d)
+    assert calls == []
 
 
 # -- golden values ---------------------------------------------------------

@@ -495,7 +495,8 @@ def counting_search(monkeypatch):
 
 def test_own_field_verdicts_match_the_search(monkeypatch):
     """`representable` equals the search's verdict over every field order,
-    and searches exactly when GF(q) is no extension of the input's field."""
+    and searches exactly when GF(q) is no extension of the input's field
+    and the rank is at least 3."""
     search = rep.is_representable
     calls = counting_search(monkeypatch)
     verdicts = []
@@ -505,7 +506,7 @@ def test_own_field_verdicts_match_the_search(monkeypatch):
             calls.clear()
             got = rep.representable(m, q2)
             assert got == search(m, q2).representable, (q, q2)
-            assert len(calls) == (0 if embeds else 1), (q, q2)
+            assert len(calls) == (0 if embeds or m.rank() < 3 else 1), (q, q2)
             verdicts.append(got)
     assert len(verdicts) == 7 * 3 * 3 * len(PRIME_POWERS)
     assert verdicts.count(False) >= 20
@@ -516,15 +517,18 @@ def test_non_embedding_fields_and_non_linear_bases_reach_the_search(monkeypatch)
     pg34, pg39 = catalog.gen("pg", (3, 4)), catalog.gen("pg", (3, 9))
     ternary = catalog.gen("pg", (3, 3))
     fano = catalog.gen("pg", (3, 2))
+    line = pg39.flats_of_rank(2)[0]
+    off = pg39.ground & ~line
     inputs = [
         (pg34.delete(0b1), 2, False),  # GF(4) over GF(2)
-        (pg39.contract(0b1), 3, False),  # GF(9) over GF(3)
+        (pg39.restrict(line | (off & -off)), 3, False),  # GF(9) over GF(3)
         (ternary.delete(0b1), 2, False),  # GF(3) over GF(2)
-        (UniformMatroid(2, 4).delete(0b1), 2, True),
+        (UniformMatroid(3, 5).delete(0b1), 2, True),
         (direct_sum([fano, fano]).contract(0b1), 2, True),
         (parallel_extension(fano, [0, 1]).delete(0b1), 2, True),
     ]
     for m, q, want in inputs:
+        assert m.rank() >= 3
         before = len(calls)
         assert rep.representable(m, q) == want
         assert calls[before:] == [q]
@@ -542,3 +546,108 @@ def test_own_field_verdicts_take_no_search(monkeypatch):
     assert stacks.verify_stack(pg42, cert).reason == "layer 1 is GF(2)-representable"
     assert rep.is_pg(catalog.gen("pg", (4, 4)), 4, 4)
     assert rep.is_pg(catalog.gen("pg", (3, 9)), 3, 9)
+    # rank 2 is settled by the point count, over any field
+    assert not rep.representable(catalog.gen("pg", (3, 9)).contract(0b1), 3)
+    assert rep.representable(UniformMatroid(2, 4).delete(0b1), 2)
+
+
+# -- rank <= 2 verdicts by the point count ------------------------------------
+
+FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def low_rank_minors(m, rng):
+    """Minors of m of ranks 2, 1 and 0: contractions of a growing part of
+    a basis (they gain loops and parallel classes), each also with a
+    random element deleted."""
+    basis = list(bits(m.basis_of(m.ground)))
+    for k in range(m.rank() - 2, m.rank() + 1):
+        c = mask_of(basis[:k])
+        minor = m.contract(c)
+        yield minor
+        yield minor.delete(1 << rng.choice(list(minor.elements())))
+
+
+def rank_two_corpus():
+    """U(2, n) for n <= 12; rank-0, 1 and 2 minors of seeded linear
+    inputs over every field of FIELDS, loops and parallel pairs among
+    them; and the rank-2 layers (restrictions to lines, and contractions
+    of rank-3 inputs by a point) of direct sums and parallel extensions."""
+    rng = random.Random(2)
+    for n in range(13):
+        yield UniformMatroid(min(2, n), n)
+    for q0 in FIELDS:
+        for r, n, seed in ((2, 12, 0), (3, 9, 1), (4, 10, 2)):
+            yield from low_rank_minors(catalog.gen("linear_random", (r, n, q0), seed=seed), rng)
+    f = gf.field(3)
+    yield LinearMatroid(gf.Matrix.from_columns(
+        f, [(0, 0), (1, 0), (2, 0), (0, 1), (0, 0), (1, 1), (1, 2), (2, 2)], 2))
+    fano = catalog.gen("pg", (3, 2))
+    spaces = [direct_sum([UniformMatroid(2, 5), UniformMatroid(1, 2)]),
+              direct_sum([UniformMatroid(1, 3), fano]),
+              direct_sum([UniformMatroid(2, 11), UniformMatroid(0, 2), UniformMatroid(1, 1)]),
+              parallel_extension(fano, [0, 1, 1, 5]),
+              parallel_extension(catalog.gen("pg", (3, 3)), [0, 2, 4]),
+              parallel_extension(UniformMatroid(3, 12), [0, 0, 7])]
+    for m in spaces:
+        for fl in m.flats_of_rank(2):
+            yield m.restrict(fl)
+        if m.rank() == 3:
+            for p in m.flats_of_rank(1):
+                point = p & ~m.loops()
+                yield m.contract(point & -point)
+
+
+def test_rank_two_verdicts_match_the_reference(monkeypatch):
+    """Rank 0 and 1 are True, and rank 2 is True iff there are at most
+    q + 1 points: the search's verdict, without the search."""
+    inputs = list(rank_two_corpus())
+    reference = [[rep_reference.reference_is_representable(m, q)[0].representable
+                  for q in FIELDS] for m in inputs]
+
+    def refuse(m, q):
+        raise AssertionError("is_representable called")
+
+    monkeypatch.setattr(rep, "is_representable", refuse)
+    ranks, outcomes = set(), set()
+    for m, want in zip(inputs, reference):
+        assert m.rank() <= 2
+        ranks.add(m.rank())
+        for q, verdict in zip(FIELDS, want):
+            assert rep.representable(m, q) == verdict, (m, q)
+            outcomes.add((m.rank(), verdict))
+    assert ranks == {0, 1, 2}
+    assert outcomes == {(0, True), (1, True), (2, True), (2, False)}
+
+
+def test_rank_two_verdict_has_no_point_cap():
+    # U(2, 50) has more points than the search's cap, but its verdict is
+    # the point count's (no field order up to gf.MAX_ORDER reaches 49);
+    # the search itself keeps the cap
+    assert UniformMatroid(2, 50).epsilon() > rep.MAX_POINTS
+    for q in (7, 32):
+        assert not rep.representable(UniformMatroid(2, 50), q)
+        with pytest.raises(CapExceeded, match="50 points > 40"):
+            rep.is_representable(UniformMatroid(2, 50), q)
+
+
+def test_stack_suite_searches_only_rank_three_layers(monkeypatch):
+    """lem7 asks `representable` of layers of rank 2 to 5; only those of
+    rank 3 and more reach the search, each exactly once."""
+    asked, searched = [], []
+    representable, search = rep.representable, rep.is_representable
+
+    def count_asked(m, q):
+        asked.append(m.rank())
+        return representable(m, q)
+
+    def count_searched(m, q):
+        searched.append(m.rank())
+        return search(m, q)
+
+    monkeypatch.setattr(rep, "representable", count_asked)
+    monkeypatch.setattr(rep, "is_representable", count_searched)
+    assert harness.run_suite("lem7", 60, 0).passed
+    assert 2 in asked and min(searched) == 3
+    assert sorted(searched) == sorted(k for k in asked if k >= 3)
+    assert len(searched) == 54
