@@ -17,12 +17,18 @@ from typing import Iterator, Sequence
 
 from . import gf
 from .bits import bits, indices_of, submasks
-from .errors import InputError
+from .errors import CapExceeded, InputError
 
 MAX_GROUND = 128
 
 # exhaustive rank-axiom validation ceiling; beyond this we sample
 EXHAUSTIVE_LIMIT = 14
+
+# flats one level of the lattice may hold: above the 11,811 of PG(6,2)'s
+# ranks 3 and 4 (`round` on `pg 7 2`), the largest level known to be
+# needed; U(14,28) has 20,475 flats of rank 4 and 98,280 of rank 5,
+# which took ten seconds to build
+MAX_FLATS = 15_000
 
 
 class Matroid:
@@ -127,6 +133,9 @@ class Matroid:
         parent, the least of its hyperplanes, and found once.  Found
         flats are indexed by element and looked up by f's least element
         outside cl(∅), so a lookup scans only flats through that element.
+
+        Raises CapExceeded as soon as a level grows past MAX_FLATS; a
+        level cut off that way is never stored.
         """
         if k < 0 or k > self.rank():
             return []
@@ -157,6 +166,8 @@ class Matroid:
                         low = on & -on
                         through.setdefault(low, []).append(g)
                         on ^= low
+                if len(nxt) > MAX_FLATS:
+                    raise CapExceeded(f"flats of rank {len(levels)} exceed cap {MAX_FLATS}")
             levels.append(sorted(nxt))
         return list(levels[k])
 

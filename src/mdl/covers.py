@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import bits, ksubsets
+from .bits import bits, ksubsets, union
 from .core import Matroid
 from .errors import CapExceeded, InputError, PremiseError, UniformMinorDetected
 
@@ -143,14 +143,14 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
     certificate is the first optimum in DFS order.  Raises CapExceeded
     at the first node past COVER_NODE_CAP, nodes and charged bound
     evaluations counted together.
+
+    A universe element that no candidate meets answers +inf at once.
+    The branch tables (each element's candidates, the branching order)
+    are built only when rule 1 does not return: most calls stop there.
     """
     if universe == 0:
         return 0, []
-    by_elem: dict[int, list[int]] = {e: [] for e in bits(universe)}
-    for ci, c in enumerate(cands):
-        for e in bits(c & universe):
-            by_elem[e].append(ci)
-    if any(not lst for lst in by_elem.values()):
+    if universe & ~union(cands):
         return INF, None
     max_size = max((c & universe).bit_count() for c in cands)
     min_weight = min(weights)
@@ -178,6 +178,10 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
     if greedy_w <= lb[n]:
         return greedy_w, greedy
 
+    by_elem: dict[int, list[int]] = {e: [] for e in bits(universe)}
+    for ci, c in enumerate(cands):
+        for e in bits(c & universe):
+            by_elem[e].append(ci)
     # per element in branching order, its candidates sorted by (weight,
     # mask), stable over index, as complement masks, weights and indices:
     # a node's stable sort on what each leaves uncovered then gives the
@@ -318,10 +322,18 @@ def _max_uniform_restriction(m: Matroid, k: int, cap: int | None) -> int:
     Elements are scanned in ascending order; adding e keeps uniformity
     iff every (k-1)-subset of X spans rank k with e.  Rejections stay
     valid as X grows, so one pass is maximal.  Raises when |X| hits cap.
+
+    k >= 2 (callers pass a + 1), so only `representatives` are
+    scanned, and X is the one a scan of every element finds.  A loop is
+    always rejected.  So is an element e parallel to an earlier p:
+    either p is in X, and a set holding p spans e, or p was rejected
+    for lying in the closure of a set that is still inside X, and that
+    set spans e too.  So X, the point where the cap raises and its
+    witness do not change.
     """
     x_list: list[int] = []
     x_mask = 0
-    for e in m.elements():
+    for e in bits(m.representatives()):
         be = 1 << e
         if len(x_list) < k:
             ok = m.rank(x_mask | be) == len(x_list) + 1
@@ -340,11 +352,18 @@ def kdensity_cover(m: Matroid, a: int, b: int) -> Cover:
     """Constructive cover by rank-<=a sets of size <= C(b-1,a)^(r-a).
 
     Base case (rank a+1): grow a maximal uniform restriction X and take
-    the closures of its a-subsets.  Inductive case: contract a nonloop,
-    cover the contraction, then refine each lifted class by the base
-    case: above rank a every member has rank exactly a, so a lifted
-    class has rank a+1.  Requires no U_{a+1,b} restriction to surface; if one
-    does, UniformMinorDetected carries the witness.
+    the closures of its a-subsets, read off the rank-a flats: they are
+    the flats meeting X in at least a elements.  X is uniform of rank
+    a+1 with at least a+1 elements, so every a-subset s of X is
+    independent and cl(s) is a rank-a flat meeting X in s at least;
+    conversely such a flat is the closure of any a of those elements.
+    The level is ascending, so the cover keeps its order.
+
+    Inductive case: contract a nonloop, cover the contraction, then
+    refine each lifted class by the base case: above rank a every member
+    has rank exactly a, so a lifted class has rank a+1.  Requires no
+    U_{a+1,b} restriction to surface; if one does, UniformMinorDetected
+    carries the witness.
     """
     if not 1 <= a < b:
         raise InputError("need 1 <= a < b")
@@ -355,8 +374,7 @@ def kdensity_cover(m: Matroid, a: int, b: int) -> Cover:
         return Cover((m.ground,))
     if r == a + 1:
         x = _max_uniform_restriction(m, a + 1, cap=b)
-        sets = sorted({m.closure(s) for s in ksubsets(x, a)})
-        return Cover(tuple(sets))
+        return Cover(tuple(f for f in m.flats_of_rank(a) if (f & x).bit_count() >= a))
     nl = m.nonloops()
     e = (nl & -nl).bit_length() - 1
     sub = kdensity_cover(m.contract(1 << e), a, b)

@@ -178,12 +178,13 @@ class Matrix:
         rows_t = tuple(tuple(row) for row in entries)
         if len(rows_t) != rows or any(len(r) != cols for r in rows_t):
             raise InputError("entry grid does not match declared shape")
+        q = f.q
         for r in rows_t:
-            for e in r:
-                if not 0 <= e < f.q:
-                    raise InputError(f"entry {e} is not a GF({f.q}) element")
+            if r and (min(r) < 0 or max(r) >= q):
+                bad = next(e for e in r if not 0 <= e < q)
+                raise InputError(f"entry {bad} is not a GF({q}) element")
         self.entries = rows_t
-        self._columns = tuple(tuple(rows_t[i][j] for i in range(rows)) for j in range(cols))
+        self._columns = tuple(zip(*rows_t)) if rows else ((),) * cols
 
     def column(self, j: int) -> tuple[int, ...]:
         return self._columns[j]
@@ -193,9 +194,8 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, f: FiniteField, columns: Sequence[Sequence[int]], rows: int) -> "Matrix":
-        cols = len(columns)
-        entries = [[columns[j][i] for j in range(cols)] for i in range(rows)]
-        return cls(f, rows, cols, entries)
+        entries = zip(*columns) if columns else [()] * rows
+        return cls(f, rows, len(columns), entries)
 
     def __repr__(self):
         return f"Matrix(GF({self.field.q}), {self.rows}x{self.cols})"

@@ -40,9 +40,11 @@ matroid's on A (for X within A and e, the image of cl(X) is the span of
 X's columns), so the re-check rejects no leaf that the rule lets
 through.
 
-A completed assignment is still re-checked: every flat of the input must
-be a flat of the same rank among the assigned columns, which forces
-equal rank functions.
+A completed assignment is still re-checked: the columns must have rank
+r, and every hyperplane of the input must span rank r - 1 among them
+and no column outside itself.  Every flat is an intersection of
+hyperplanes, so every flat is then a flat of the same rank among the
+columns, which forces equal rank functions (`_rank_functions_match`).
 
 "False" is answered before any candidate is tried when the
 simplification has more points than PG(r-1, q), or a line with more
@@ -80,18 +82,25 @@ def _rank_functions_match(simp: Matroid, f: gf.FiniteField,
                           assign: dict[int, tuple[int, ...]]) -> bool:
     """Exact equality of simp's rank function and that of its assigned columns.
 
-    Checks that every flat F of simp, at every rank k, spans a column
-    space of rank k containing no column outside F.  Then each flat of
-    simp is a flat of the same rank of the columns, and by induction
-    each independent set I stays independent (b lies outside cl(I - b),
-    a flat), so the two rank functions agree on every subset.
+    With r = r(simp), checks that the columns have rank r and that every
+    hyperplane H of simp spans a column space of rank r - 1 containing
+    no column outside H.  That is enough.  Every flat other than E is an
+    intersection of hyperplanes, so every flat of simp is closed among
+    the columns.  Along a maximal chain of flats, from cl(∅) = ∅ (simp
+    is simple) to E, these closed sets are distinct, so their column
+    ranks rise strictly from 0 to r, one per step: each flat has its own
+    rank among the columns.  By induction each independent set I stays
+    independent (b lies outside cl(I - b), a flat), so the two rank
+    functions agree on every subset.
     """
     vecs = {e: gf.vector(f, v) for e, v in assign.items()}
-    for k in range(simp.rank() + 1):
-        for fl in simp.flats_of_rank(k):
-            pivots = gf.echelon(f, vecs, fl)
-            if len(pivots) != k or gf.spanned(f, pivots, vecs, simp.ground & ~fl):
-                return False
+    r = simp.rank()
+    if len(gf.echelon(f, vecs, simp.ground)) != r:
+        return False
+    for h in simp.flats_of_rank(r - 1):
+        pivots = gf.echelon(f, vecs, h)
+        if len(pivots) != r - 1 or gf.spanned(f, pivots, vecs, simp.ground & ~h):
+            return False
     return True
 
 

@@ -370,14 +370,14 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def python(*argv, cwd=None):
+def python(*argv, cwd=None, timeout=20):
     """A fresh `python argv...` process with this checkout's mdl on its path,
-    at most 1 GiB of address space and 20 s."""
+    at most 1 GiB of address space and `timeout` seconds."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(mdl.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True,
-                          text=True, timeout=20, preexec_fn=_limit_memory)
+                          text=True, timeout=timeout, preexec_fn=_limit_memory)
 
 
 @pytest.mark.parametrize("params", [
@@ -408,6 +408,25 @@ def test_gen_refuses_bad_parameters(tmp_path, params):
     assert res.returncode == 2 and res.stdout == "", (res.returncode, res.stderr)
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
     assert not out.exists()
+
+
+def test_flat_cap_refuses_huge_lattices_within_ten_seconds(tmp_path):
+    # U(14,28) has 20,475 flats of rank 4 and 98,280 of rank 5, and a
+    # chain of 100 one-element sums over U(2,4) has rank 102; without
+    # core.MAX_FLATS each of these ran past a 10 s timeout
+    from mdl.core import MAX_FLATS
+
+    uniform = tmp_path / "u.mtd"
+    assert main(["gen", "uniform", "14", "28", "-o", str(uniform)]) == 0
+    chain = tmp_path / "chain.mtd"
+    blocks = ["matroid e\nkind uniform\nparams 1 1\nend", "matroid b0\nkind uniform\nparams 2 4\nend"]
+    blocks += [f"matroid b{i}\nkind direct_sum\nparts b{i - 1} e\nend" for i in range(1, 101)]
+    chain.write_text("\n".join(blocks) + "\n")
+    for argv, rank in [(("round", uniform), 4), (("tau", uniform, "--a", "13"), 4),
+                       (("tauw", uniform, "--d", "2"), 4), (("round", chain), 3)]:
+        res = python("-m", "mdl.cli", *map(str, argv), timeout=10)
+        assert res.returncode == 2 and res.stdout == "", (argv, res.returncode, res.stderr)
+        assert res.stderr == f"error: flats of rank {rank} exceed cap {MAX_FLATS}\n", argv
 
 
 # what each command adds to the modules `import mdl.cli` loads

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdl import gf
+from mdl import core, gf
 from mdl.bits import bits, mask_of, submasks
 from mdl.core import (DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid,
                       ParallelExtensionMatroid, UniformMatroid, direct_sum,
                       parallel_extension, validate_rank_axioms)
+from mdl.errors import CapExceeded
 from mdl import catalog
 
 
@@ -437,3 +438,25 @@ def test_validate_sampled_large():
 def test_ground_cap():
     with pytest.raises(ValueError):
         UniformMatroid(2, 200)
+
+
+def test_flat_levels_are_capped_while_they_grow(monkeypatch):
+    """A level of more than core.MAX_FLATS flats raises CapExceeded, and
+    the cut-off level is never stored: the levels below it stay, and
+    asking again raises again."""
+    m = UniformMatroid(3, 6)  # 6 points, 15 lines
+    monkeypatch.setattr(core, "MAX_FLATS", 15)
+    assert len(m.flats_of_rank(2)) == 15
+    m = UniformMatroid(3, 6)
+    monkeypatch.setattr(core, "MAX_FLATS", 14)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="flats of rank 2 exceed cap 14"):
+            m.flats_of_rank(2)
+        assert len(m._flat_levels) == 2
+    assert len(m.flats_of_rank(1)) == 6
+    monkeypatch.undo()
+    assert core.MAX_FLATS >= 11_811  # PG(6,2)'s ranks 3 and 4
+    big = UniformMatroid(14, 28)  # 20,475 flats of rank 4
+    with pytest.raises(CapExceeded, match=f"flats of rank 4 exceed cap {core.MAX_FLATS}"):
+        big.is_weakly_round()
+    assert len(big._flat_levels) == 4

@@ -1,0 +1,212 @@
+"""`mdl.covers`, `mdl.rep` and `mdl.gf` against the verbatim copies of
+their earlier kernels in tests/kernel_reference.py: the same covers,
+witnesses, cover values and selections, re-check verdicts, matrix
+entries and error text on seeded corpora."""
+
+import random
+
+import pytest
+
+import kernel_reference as ref
+from mdl import catalog, covers, gf, rep
+from mdl.core import UniformMatroid, direct_sum, parallel_extension
+from mdl.errors import InputError
+
+FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def corpus():
+    """Seeded (label, matroid) pairs: linear_random over every field in
+    FIELDS, their contractions, restrictions and nested minors, uniform
+    matroids, direct sums and parallel extensions."""
+    rng = random.Random(22)
+    for q in FIELDS:
+        for r, n, seed in ((2, 6, 0), (3, 8, 1), (3, 10, 2), (4, 9, 3)):
+            m = catalog.gen("linear_random", (r, n, q), seed=seed)
+            label = f"lr({r},{n},{q})#{seed}"
+            yield label, m
+            e = rng.randrange(n)
+            yield f"{label}/{e}", m.contract(1 << e)
+            keep = rng.getrandbits(n) | 1
+            yield f"{label}|{keep:b}", m.restrict(keep)
+            c, d = rng.sample(range(n), 2)
+            nested = m.contract(1 << c).delete(1 << d)
+            low = nested.ground & -nested.ground
+            yield f"{label}/{c}\\{d}/{low.bit_length() - 1}", nested.contract(low)
+    for r, n in ((2, 5), (2, 7), (3, 6), (3, 8), (4, 7)):
+        yield f"U({r},{n})", UniformMatroid(r, n)
+    fano = catalog.gen("fano")
+    lr = catalog.gen("linear_random", (2, 5, 3), seed=4)
+    yield "fano+U(2,4)", direct_sum([fano, UniformMatroid(2, 4)])
+    yield "lr+U(1,3)+lr/0", direct_sum([lr, UniformMatroid(1, 3), lr.contract(1)])
+    yield "fano||", parallel_extension(fano, [0, 0, 3])
+    yield "lr||", parallel_extension(lr, [1, 4])
+
+
+CORPUS = list(corpus())
+
+
+def outcome(fn, *args):
+    """fn's value, or its exception's type, message and witness."""
+    try:
+        return "ok", fn(*args)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+@pytest.mark.parametrize("label,m", CORPUS, ids=[label for label, _ in CORPUS])
+def test_kdensity_cover_matches_reference(label, m):
+    raised = 0
+    for a in (1, 2, 3):
+        for b in (a + 1, a + 2, a + 4, 9):
+            want = outcome(ref.kdensity_cover, m, a, b)
+            assert outcome(covers.kdensity_cover, m, a, b) == want, (a, b)
+            raised += want[0] == "UniformMinorDetected"
+    if label.startswith("U("):
+        assert raised  # the cap raised, and with the same witness
+
+
+@pytest.mark.parametrize("label,m", CORPUS, ids=[label for label, _ in CORPUS])
+def test_max_uniform_restriction_matches_reference(label, m):
+    for k in (2, 3, 4):
+        for cap in (None, k, k + 2):
+            want = outcome(ref._max_uniform_restriction, m, k, cap)
+            assert outcome(covers._max_uniform_restriction, m, k, cap) == want, (k, cap)
+
+
+def test_thick_uniform_minor_matches_reference():
+    found = 0
+    for label, m in CORPUS + [("U(2,6)", UniformMatroid(2, 6)), ("U(3,7)", UniformMatroid(3, 7))]:
+        for a, b, d in ((1, 3, 3), (1, 4, 4), (2, 4, 4), (2, 4, 7)):
+            want = outcome(ref.thick_uniform_minor, m, a, b, d)
+            assert outcome(covers.thick_uniform_minor, m, a, b, d) == want, (label, a, b, d)
+            found += want[0] == "ok"
+    assert found
+
+
+def cover_calls(monkeypatch):
+    """The (universe, cands, weights) of every `_min_cover` call that tau
+    and tau_weighted make over the corpus."""
+    calls = []
+
+    def record(universe, cands, weights):
+        calls.append((universe, list(cands), list(weights)))
+        return real(universe, cands, weights)
+
+    real = covers._min_cover
+    with monkeypatch.context() as mp:
+        mp.setattr(covers, "_min_cover", record)
+        for _, m in CORPUS:
+            for a in (1, 2, 3):
+                covers.tau(m, a)
+            for d in (2, 3):
+                covers.tau_weighted(m, d)
+    return calls
+
+
+def test_min_cover_matches_reference(monkeypatch):
+    calls = cover_calls(monkeypatch)
+    assert len(calls) > 300
+    searched = 0
+    for universe, cands, weights in calls:
+        want = ref._min_cover(universe, cands, weights)
+        assert covers._min_cover(universe, cands, weights) == want
+        searched += want[0] > 1 and len(want[1]) > 1
+    assert searched
+    # an infeasible list, an empty one and an empty universe
+    for universe, cands in ((0b1111, [0b0011, 0b0100]), (0b1, []), (0, [0b1]), (0, [])):
+        weights = [1] * len(cands)
+        assert covers._min_cover(universe, cands, weights) == ref._min_cover(universe, cands, weights)
+
+
+def recheck_corpus():
+    """(simp, field, assignment) triples: the assignments the search
+    re-checks on the projective geometries of rank 3 and 4 within
+    rep.MAX_POINTS and on restrictions of them, each followed by copies
+    with one column moved to another point, two columns made equal and
+    one column scaled."""
+    rng = random.Random(3)
+    seen = []
+
+    def record(simp, f, assign):
+        seen.append((simp, f, dict(assign)))
+        return real(simp, f, assign)
+
+    real = rep._rank_functions_match
+    rep._rank_functions_match = record
+    try:
+        for n, q in ((3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3)):
+            m = catalog.gen("pg", (n, q))
+            rep.is_representable(m, q)
+            for _ in range(2):
+                keep = rng.getrandbits(m.n) | m.basis_of(m.ground)
+                rep.is_representable(m.restrict(keep), q)
+    finally:
+        rep._rank_functions_match = real
+    for simp, f, assign in seen:
+        yield simp, f, assign
+        els = sorted(assign)
+        r = len(assign[els[0]])
+        e, g = rng.sample(els, 2)
+        used = {gf.point_index(f, v) for v in assign.values()}
+        free = [p for p in range((f.q ** r - 1) // (f.q - 1)) if p not in used]
+        moved = dict(assign)
+        moved[e] = gf.point_vector(rng.choice(free or [gf.point_index(f, assign[g])]), f.q, r)
+        yield simp, f, moved
+        yield simp, f, {**assign, e: assign[g]}
+        c = rng.randrange(1, f.q)
+        yield simp, f, {**assign, e: tuple(f.mul(c, x) for x in assign[e])}
+
+
+def test_rank_functions_match_matches_reference():
+    verdicts = []
+    for simp, f, assign in recheck_corpus():
+        want = ref._rank_functions_match(simp, f, assign)
+        assert rep._rank_functions_match(simp, f, assign) == want, (f, assign)
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def matrix_outcome(build):
+    try:
+        m = build()
+    except InputError as exc:
+        return "InputError", str(exc)
+    return m.rows, m.cols, m.entries, m.columns(), [m.column(j) for j in range(m.cols)]
+
+
+@pytest.mark.parametrize("q,rows,cols,entries", [
+    (3, 0, 0, []),
+    (3, 0, 4, []),
+    (3, 2, 0, [[], []]),
+    (5, 3, 4, [[0, 1, 2, 3], [4, 0, 0, 1], [2, 2, 2, 2]]),
+    (2, 1, 1, [[1]]),
+    (3, 2, 3, [[0, 1, 2], [2, 7, -1]]),    # first bad entry: 7
+    (3, 2, 3, [[0, -2, 9], [0, 0, 0]]),    # a negative entry first
+    (4, 2, 2, [[0, 1], [3, 4]]),
+    (3, 2, 3, [[0, 1, 2], [0, 1]]),        # a short row
+    (3, 3, 2, [[0, 1], [1, 0]]),           # a missing row
+    (3, 1, 2, [[0, 1], [1, 0]]),           # an extra row
+    (3, 2, 2, [[3, 0], [0, 1, 2]]),        # a bad entry and a wrong shape
+])
+def test_matrix_matches_reference(q, rows, cols, entries):
+    f = gf.field(q)
+    assert (matrix_outcome(lambda: gf.Matrix(f, rows, cols, entries))
+            == matrix_outcome(lambda: ref.Matrix(f, rows, cols, entries)))
+    if all(len(row) == cols for row in entries) and len(entries) == rows:
+        columns = [tuple(entries[i][j] for i in range(rows)) for j in range(cols)]
+        assert (matrix_outcome(lambda: gf.Matrix.from_columns(f, columns, rows))
+                == matrix_outcome(lambda: ref.Matrix.from_columns(f, columns, rows)))
+
+
+def test_matrix_matches_reference_on_the_catalog():
+    f = gf.field(8)
+    for family, params in (("pg", (3, 4)), ("linear_random", (4, 12, 8)), ("fano", ())):
+        m = catalog.gen(family, params, seed=5)
+        cols = m.matrix.columns()
+        old = ref.Matrix.from_columns(m.field, cols, m.matrix.rows)
+        assert (m.matrix.entries, m.matrix.columns()) == (old.entries, old.columns())
+    rng = random.Random(8)
+    cols = [tuple(rng.randrange(8) for _ in range(5)) for _ in range(30)]
+    new, old = gf.Matrix.from_columns(f, cols, 5), ref.Matrix.from_columns(f, cols, 5)
+    assert (new.entries, new.columns()) == (old.entries, old.columns())

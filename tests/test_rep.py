@@ -651,3 +651,28 @@ def test_stack_suite_searches_only_rank_three_layers(monkeypatch):
     assert 2 in asked and min(searched) == 3
     assert sorted(searched) == sorted(k for k in asked if k >= 3)
     assert len(searched) == 54
+
+
+def test_recheck_eliminates_once_per_hyperplane(monkeypatch):
+    """The re-check of a found matrix makes one elimination of all the
+    columns and one per hyperplane: 1 + 40 on PG(3,3) (the all-levels
+    check made one per flat, 212)."""
+    counts = {"recheck": 0}
+    inside = [False]
+    echelon, match = gf.echelon, rep._rank_functions_match
+
+    def counted_echelon(*args):
+        counts["recheck"] += inside[0]
+        return echelon(*args)
+
+    def counted_match(*args):
+        inside[0] = True
+        try:
+            return match(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(gf, "echelon", counted_echelon)
+    monkeypatch.setattr(rep, "_rank_functions_match", counted_match)
+    assert rep.is_representable(catalog.gen("pg", (4, 3)), 3).representable
+    assert counts == {"recheck": 41}
