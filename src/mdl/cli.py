@@ -9,9 +9,9 @@ also when its check refused a premise or failed its own
 re-verification; a cap hit during a trial exits 2.  Every subcommand
 takes --json for a machine-readable mirror of the same content.
 
-`mdl <command> ...` builds the parser of that command alone and imports
-only the modules that command runs; a bare `mdl`, `-h`/`--help` or an
-unknown command builds every command's parser.
+`mdl <command> ...` builds that command's parser alone (and every one only
+to report what it rejects) and imports only the modules that command
+runs; a bare `mdl`, `-h`/`--help` or an unknown command builds them all.
 """
 
 from __future__ import annotations
@@ -28,17 +28,16 @@ from .errors import CapExceeded, InputError
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
-def _emit(args, pairs: dict, blocks: list[str] | None = None,
-          data: dict | None = None) -> None:
-    """Print pairs as key=value lines and then blocks, or under --json one
-    object of pairs and data (what only the JSON form carries)."""
+def _emit(args, pairs: dict, block=None, data: dict | None = None) -> None:
+    """Print pairs as key=value lines and then the text block() builds, or
+    under --json one object of pairs and data (which only JSON carries)."""
     if args.json:
         print(json.dumps({**pairs, **(data or {})}, default=str))
         return
     for k, v in pairs.items():
         print(f"{k}={v}")
-    for b in blocks or ():
-        print(b, end="" if b.endswith("\n") else "\n")
+    if block:
+        print(block().removesuffix("\n"))
 
 
 def _parse_list(text: str, m) -> int:
@@ -84,10 +83,8 @@ def _rational(text: str):
 
 
 def _cover_block(m, cover) -> str:
-    lines = ["cover"]
-    for s in cover.sets:
-        lines.append(f"  set rank={m.rank(s)}: " + " ".join(map(str, indices_of(s))))
-    return "\n".join(lines)
+    return "\n".join(["cover"] + [f"  set rank={m.rank(s)}: " + " ".join(map(str, indices_of(s)))
+                                  for s in cover.sets])
 
 
 def cmd_gen(args) -> int:
@@ -106,7 +103,7 @@ def _emit_cover_value(args, key: str, m, res) -> int:
     """tau and tauw: the value as a string, and the certificate if any
     (none for the +inf sentinel, nor the empty cover of an empty ground)."""
     sets = res.cover.sets if res.cover is not None else ()
-    _emit(args, {key: str(res.value)}, [_cover_block(m, res.cover)] if sets else [],
+    _emit(args, {key: str(res.value)}, sets and (lambda: _cover_block(m, res.cover)),
           data={"cover": [indices_of(s) for s in sets] if sets else None})
     return OK
 
@@ -127,8 +124,7 @@ def cmd_tauw(args) -> int:
 
 def cmd_conn(args) -> int:
     m = catalog.read_matroid(args.file)
-    x = _parse_list(args.x, m)
-    y = _parse_list(args.y, m)
+    x, y = _parse_list(args.x, m), _parse_list(args.y, m)
     conn = m.local_conn(x, y)
     _emit(args, {"local_conn": conn, "skew": conn == 0})
     return OK
@@ -139,8 +135,7 @@ def cmd_round(args) -> int:
     ok, pair = m.is_weakly_round()
     info: dict = {"weakly_round": ok}
     if not ok:
-        info["violating_a"] = indices_of(pair[0])
-        info["violating_b"] = indices_of(pair[1])
+        info.update(violating_a=indices_of(pair[0]), violating_b=indices_of(pair[1]))
     if args.extract:
         from . import reduce as reductions
 
@@ -157,13 +152,12 @@ def cmd_rep(args) -> int:
     m = catalog.read_matroid(args.file)
     res = rep.is_representable(m, args.q)
     info: dict = {"representable": res.representable}
-    blocks, data = [], {}
+    block, data = None, {}
     if res.matrix is not None:
-        rows = [" ".join(str(v) for v in row) for row in res.matrix.entries]
-        blocks.append("matrix\n" + "\n".join("  " + r for r in rows))
         info["rows"] = res.matrix.rows
-        data["matrix"] = [list(row) for row in res.matrix.entries]
-    _emit(args, info, blocks, data)
+        data["matrix"] = rows = [list(row) for row in res.matrix.entries]
+        block = lambda: "matrix\n" + "\n".join("  " + " ".join(map(str, r)) for r in rows)
+    _emit(args, info, block, data)
     return OK if res.representable else FAIL
 
 
@@ -184,15 +178,14 @@ def cmd_stack(args) -> int:
         if not args.parts:
             raise InputError("stack verify needs --parts")
         parts = tuple(_parse_list(p, m) for p in args.parts.split("|"))
-        cert = stacks.StackCert(parts, args.q, args.t)
-        check = stacks.verify_stack(m, cert)
+        check = stacks.verify_stack(m, stacks.StackCert(parts, args.q, args.t))
         _emit(args, {"valid": check.ok, "reason": check.reason})
         return OK if check.ok else FAIL
     cert = stacks.find_stack(m, args.q, args.h, args.t)
     if cert is None:
         _emit(args, {"found": False})
         return FAIL
-    _emit(args, {"found": True}, [stacks.serialize_cert(cert)],
+    _emit(args, {"found": True}, lambda: stacks.serialize_cert(cert),
           data={"q": cert.q, "t": cert.t, "parts": [indices_of(p) for p in cert.parts]})
     return OK
 
@@ -206,7 +199,7 @@ def cmd_cover(args) -> int:
     info = {"cover_size": len(cov.sets), "bound": bound,
             "covers_ground": union(cov.sets) == m.ground,
             "within_bound": len(cov.sets) <= bound}
-    _emit(args, info, [_cover_block(m, cov)], data={"sets": [indices_of(s) for s in cov.sets]})
+    _emit(args, info, lambda: _cover_block(m, cov), {"sets": [indices_of(s) for s in cov.sets]})
     return OK if info["covers_ground"] and info["within_bound"] else FAIL
 
 
@@ -226,14 +219,11 @@ def cmd_verify(args) -> int:
             except (InputError, OSError):
                 pass
     if args.json:
-        print(json.dumps({"lemma": args.lemma, "passed": good, "total": total,
-                          "trials": rows}))
+        print(json.dumps({"lemma": args.lemma, "passed": good, "total": total, "trials": rows}))
     else:
         for row in rows:
-            line = f"trial={row['trial']} pass={row['pass']} {row['detail']}"
-            if "dump" in row:
-                line += f" dump={row['dump']}"
-            print(line)
+            dump = f" dump={row['dump']}" if "dump" in row else ""
+            print(f"trial={row['trial']} pass={row['pass']} {row['detail']}{dump}")
         print(f"lemma={args.lemma} passed={good}/{total}")
     return OK if result.passed else FAIL
 
@@ -244,18 +234,16 @@ def _arg(*names: str, **kw) -> tuple:
 
 
 def _verify_args() -> tuple:
-    """The arguments of verify; the suite names are read from
-    harness.SUITES only when the verify parser is built."""
+    """verify's arguments; harness.SUITES is read only when its parser is built."""
     from . import harness
 
     return (_arg("lemma", choices=sorted(harness.SUITES)),
             _arg("--trials", type=_at_least(1), default=30), _arg("--seed", type=int, default=0))
 
 
-# name: (help, arguments, or a function returning them).  Every command
-# also takes --json, and command <name> runs cmd_<name>, looked up when
-# the parser is built, so a handler replaced on this module is the one
-# that runs.
+# name: (help, arguments, or a function returning them).  Every command also
+# takes --json, and command <name> runs cmd_<name>, looked up when the parser
+# is built, so a handler replaced on this module is the one that runs.
 COMMANDS = {
     "gen": ("emit a catalog matroid as a .mtd file", (
         _arg("family"), _arg("params", nargs="*"), _arg("-o", "--output", required=True),
@@ -289,20 +277,33 @@ COMMANDS = {
 _JSON = _arg("--json", action="store_true", help="machine-readable output")
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the command named `only` alone.
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, given the whole argv; the full parser, whose
+    subparsers are built as this one is, reports what it rejects."""
 
-    A one-command parser still names every command in its usage line, so
-    its errors read as the full parser's do.  The full parser keeps the
-    default metavar: a set one would rename `argument command` in its
-    invalid-choice and missing-command errors.
-    """
-    ap = argparse.ArgumentParser(prog="mdl", description=__doc__)
-    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    class Rejected(Exception):
+        """A refusal, which the full parser reports."""
+
+    def error(self, message):
+        raise self.Rejected
+
+    def parse_args(self, argv):
+        try:
+            return super().parse_args(argv[1:])
+        except self.Rejected:
+            return build_parser().parse_args(argv)
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or a _CommandParser of command `only`."""
+    if only:
+        ap = _CommandParser(prog=f"mdl {only}")
+    else:
+        ap = argparse.ArgumentParser(prog="mdl", description=__doc__)
+        sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_, args) in COMMANDS.items():
         if only in (None, name):
-            p = sub.add_parser(name, help=help_)
+            p = ap if only else sub.add_parser(name, help=help_)
             for names, kw in (args() if callable(args) else args) + (_JSON,):
                 p.add_argument(*names, **kw)
             p.set_defaults(func=globals()[f"cmd_{name}"])
@@ -311,9 +312,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = ap.parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:

@@ -14,6 +14,7 @@ import time
 import pytest
 
 import mdl
+from mdl import cli, stacks
 from mdl.cli import main
 from mdl.errors import CapExceeded, PremiseError
 
@@ -133,6 +134,27 @@ def test_cover_thm4(tmp_path, capsys):
     code, out, _ = run(capsys, "cover", "thm4", f, "--a", "1", "--b", "4")
     assert code == 0
     assert "within_bound=True" in out and "covers_ground=True" in out
+
+
+def test_json_builds_no_text_blocks(tmp_path, capsys, monkeypatch):
+    fano, tower = str(tmp_path / "fano.mtd"), str(tmp_path / "tower.mtd")
+    run(capsys, "gen", "pg", "3", "2", "-o", fano)
+    run(capsys, "gen", "u24_tower", "2", "-o", tower)
+    jobs = [("tau", fano, "--a", "1"), ("tauw", fano, "--d", "2"),
+            ("cover", "thm4", fano, "--a", "1", "--b", "4"),
+            ("stack", "find", tower, "--q", "2", "--h", "2", "--t", "2")]
+    want = [run(capsys, *argv, "--json") for argv in jobs]
+
+    def refuse(*args):
+        raise RuntimeError("a text block built")
+
+    monkeypatch.setattr(cli, "_cover_block", refuse)
+    monkeypatch.setattr(stacks, "serialize_cert", refuse)
+    for argv, before in zip(jobs, want):
+        assert before[0] == 0 and json.loads(before[1]), argv
+        assert run(capsys, *argv, "--json") == before, argv
+        # the text form still asks for its block
+        assert run(capsys, *argv)[0] == 3, argv
 
 
 def test_verify_suite_and_determinism(capsys):

@@ -2,9 +2,12 @@
 internal error."""
 
 import contextlib
+import inspect
 import io
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -86,7 +89,43 @@ def files(tmp_path_factory):
     return paths
 
 
-def test_cli_exit_codes_under_fuzz(files):
+def reach():
+    """How many more frames can be pushed here before a RecursionError."""
+    def down(n):
+        try:
+            return down(n + 1)
+        except RecursionError:
+            return n
+    return down(0)
+
+
+@pytest.fixture(scope="module")
+def headroom(tmp_path_factory):
+    """reach() where a plain `python -m mdl.cli` process calls main."""
+    d = tmp_path_factory.mktemp("probe")
+    (d / "probe.py").write_text(inspect.getsource(reach)
+                                + "\n\nif __name__ == '__main__':\n    print(reach())\n")
+    res = subprocess.run([sys.executable, "-m", "probe"], cwd=d, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(d)}, timeout=60, check=True)
+    return int(res.stdout)
+
+
+def run_main(args, headroom):
+    """Exit code and stderr of main(args), run with the stack room it has
+    in a plain process: hypothesis raises the recursion limit while a
+    @given test runs, so a stack overflow there would pass unseen."""
+    out, err = io.StringIO(), io.StringIO()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - reach() + headroom)  # reach() sits where main will
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    finally:
+        sys.setrecursionlimit(limit)
+    return code, err.getvalue()
+
+
+def test_cli_exit_codes_under_fuzz(files, headroom):
     fano, written = files[0], gen_output(files)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -104,11 +143,9 @@ def test_cli_exit_codes_under_fuzz(files):
     @example(["gen", "linear_random", "3", "-5", "2", "-o", written])
     @example(["gen", "pg_plus_noise", "3", "2", "4", "-1", "-o", written])
     def check(args):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(args)
-        assert code in (0, 1, 2), (args, code, err.getvalue())
-        assert "internal error" not in err.getvalue(), (args, err.getvalue())
+        code, err = run_main(args, headroom)
+        assert code in (0, 1, 2), (args, code, err)
+        assert "internal error" not in err, (args, err)
 
     check()
 
@@ -151,7 +188,7 @@ def mutated(draw, texts):
     return "\n".join(lines) + "\n"
 
 
-def test_mtd_text_fuzz(files, tmp_path):
+def test_mtd_text_fuzz(files, tmp_path, headroom):
     texts = []
     for path in files:
         with open(path, encoding="utf-8") as fh:
@@ -164,11 +201,9 @@ def test_mtd_text_fuzz(files, tmp_path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         for args in (["tau", path, "--a", "1"], ["rep", path, "--q", "2"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(args)
-            assert code in (0, 1, 2), (text, args, code, err.getvalue())
-            assert "internal error" not in err.getvalue(), (text, args, err.getvalue())
+            code, err = run_main(args, headroom)
+            assert code in (0, 1, 2), (text, args, code, err)
+            assert "internal error" not in err, (text, args, err)
 
     check()
 
@@ -224,7 +259,7 @@ def chain_text(length, kinds, leaf_n):
     return "\n".join(blocks) + "\n"
 
 
-def test_deep_block_graphs_never_exit_3(tmp_path):
+def test_deep_block_graphs_never_exit_3(tmp_path, headroom):
     path = str(tmp_path / "deep.mtd")
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -234,13 +269,11 @@ def test_deep_block_graphs_never_exit_3(tmp_path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         for args in (["tau", path, "--a", "1"], ["rep", path, "--q", "2"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(args)
-            assert code in (0, 1, 2), (length, args, code, err.getvalue())
-            assert "internal error" not in err.getvalue(), (length, args, err.getvalue())
-            if "nests" in err.getvalue():
-                assert length > MAX_NESTING and err.getvalue().startswith(f"error: {path}:")
+            code, err = run_main(args, headroom)
+            assert code in (0, 1, 2), (length, args, code, err)
+            assert "internal error" not in err, (length, args, err)
+            if "nests" in err:
+                assert length > MAX_NESTING and err.startswith(f"error: {path}:")
 
     check()
 

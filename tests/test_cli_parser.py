@@ -1,10 +1,10 @@
 """The table-built parser against the hand-written one it replaced.
 
 `main` builds the parser of the named command alone, and every command's
-parser only for a bare `mdl`, `-h`/`--help` or an unknown command.  Its
-exit codes, output and error text must be those of the old parser
-(tests/cli_reference.py), byte for byte, and every call must build its
-own parser.
+parser only for a bare `mdl`, `-h`/`--help`, an unknown command, or to
+report what the one-command parser rejects.  Its exit codes, output and
+error text must be those of the old parser (tests/cli_reference.py), byte
+for byte, and every call must build its own parser.
 """
 
 import argparse
@@ -16,7 +16,8 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cli_reference
 import mdl
@@ -25,6 +26,7 @@ from test_cli_fuzz import argv as fuzz_argv
 from test_cli_fuzz import files  # noqa: F401 - the module's fixture files
 
 COMMANDS = ["gen", "tau", "tauw", "conn", "round", "rep", "pg", "stack", "cover", "verify"]
+FULL_PARSER = ["mdl"] + [f"mdl {name}" for name in COMMANDS]
 
 
 def outcome(argv, reference=False):
@@ -63,40 +65,95 @@ def test_fuzzed_argv_match_old_parser(files):
     check()
 
 
+# edits of a well-formed argument vector that a one-command parser may
+# reject, or read otherwise than the command's subparser in the full one
+INSERTED = ["-h", "--help", "--", "--bogus", "", "extra"]
+MUTATIONS = ("insert", "abbreviate", "join", "repeat", "options first")
+
+
+@st.composite
+def mutated_argv(draw, files):
+    argv = draw(fuzz_argv(files))
+    kind = draw(st.sampled_from(MUTATIONS))
+    options = [i for i, tok in enumerate(argv)
+               if tok[:2] == "--" and len(tok) > 2 or tok[:1] == "-" and tok[1:2].isalpha()]
+    if kind == "insert":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(INSERTED)))
+    elif kind == "options first":
+        at = next((i for i, tok in enumerate(argv) if tok in files), 1)
+        head = options[0] if options else len(argv)
+        argv = argv[:at] + argv[head:] + argv[at:head]
+    elif options:
+        i = draw(st.sampled_from(options))
+        if kind == "abbreviate" and len(argv[i]) > 3:
+            argv[i] = argv[i][:draw(st.integers(3, len(argv[i]) - 1))]
+        elif kind == "join" and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif kind == "repeat":
+            argv[i:i] = argv[i:i + 2]
+    return argv
+
+
+def test_rejected_argv_match_old_parser(files):
+    fano = files[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mutated_argv(files))
+    @example(["tau", fano, "-h", "--a", "1"])
+    @example(["stack", "find", fano, "--help", "--q", "2", "--t", "2"])
+    @example(["tau", fano, "--", "--a", "1"])
+    @example(["tau", fano, "--a", "1", "--bogus"])
+    @example(["rep", fano, "", "--q", "2"])
+    @example(["pg", fano, "extra", "--n", "3", "--q", "2"])
+    @example(["tau", fano, "--a", "1", "--js"])
+    @example(["round", fano, "--alp", "1/2", "--extract"])
+    @example(["tau", fano, "--a=1", "--json"])
+    @example(["tau", fano, "--a", "1", "--a", "2"])
+    @example(["cover", "thm4", "--a", "1", "--b", "4", fano])
+    def check(argv):
+        assert outcome(argv) == outcome(argv, reference=True), argv
+
+    check()
+
+
 @pytest.fixture
-def subparsers_built(monkeypatch):
-    """A list that records the name of every subparser built."""
+def parsers_built(monkeypatch):
+    """A list that records the prog of every ArgumentParser built."""
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kw):
-        built.append(name)
-        return add_parser(self, name, **kw)
+    def recording(self, *args, **kw):
+        init(self, *args, **kw)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
     return built
 
 
-def test_main_builds_only_the_named_command(files, subparsers_built, capsys):
+def test_main_builds_only_the_named_command(files, parsers_built, capsys):
     fano = files[0]
     assert cli.main(["tau", fano, "--a", "1"]) == 0
-    assert subparsers_built == ["tau"]
+    assert parsers_built == ["mdl tau"]
     # every call builds its own parser: none is kept from the call before
     assert cli.main(["tau", fano, "--a", "1"]) == 0
-    assert subparsers_built == ["tau", "tau"]
-    subparsers_built.clear()
+    assert parsers_built == ["mdl tau", "mdl tau"]
+    parsers_built.clear()
     assert cli.main(["--help"]) == 0
-    assert subparsers_built == COMMANDS
-    subparsers_built.clear()
+    assert parsers_built == FULL_PARSER
+    parsers_built.clear()
     assert cli.main(["tua"]) == 2
-    assert subparsers_built == COMMANDS
+    assert parsers_built == FULL_PARSER
+    parsers_built.clear()
+    # what the one-command parser rejects, the full parser reports
+    assert cli.main(["tau", fano, "--a", "1", "extra"]) == 2
+    assert parsers_built == ["mdl tau"] + FULL_PARSER
     capsys.readouterr()
 
 
-def test_entry_point_reads_sys_argv(files, subparsers_built, monkeypatch, capsys):
+def test_entry_point_reads_sys_argv(files, parsers_built, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["mdl", "tau", files[0], "--a", "1"])
     assert cli.main() == 0
-    assert subparsers_built == ["tau"]
+    assert parsers_built == ["mdl tau"]
     assert "tau=7" in capsys.readouterr().out
 
 
