@@ -9,9 +9,10 @@ also when its check refused a premise or failed its own
 re-verification; a cap hit during a trial exits 2.  Every subcommand
 takes --json for a machine-readable mirror of the same content.
 
-`mdl <command> ...` builds that command's parser alone (and every one only
-to report what it rejects) and imports only the modules that command
-runs; a bare `mdl`, `-h`/`--help` or an unknown command builds them all.
+`mdl <command> ...` imports only the modules that command runs.  Plainly
+spelled arguments (each option once, by its full name, and no value
+starting with '-') are read straight from the command table; anything
+else, help and errors included, goes to the parser of every command.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _arg(*names: str, **kw) -> tuple:
 
 
 def _verify_args() -> tuple:
-    """verify's arguments; harness.SUITES is read only when its parser is built."""
+    """verify's arguments; harness.SUITES is read only when they are."""
     from . import harness
 
     return (_arg("lemma", choices=sorted(harness.SUITES)),
@@ -242,8 +243,10 @@ def _verify_args() -> tuple:
 
 
 # name: (help, arguments, or a function returning them).  Every command also
-# takes --json, and command <name> runs cmd_<name>, looked up when the parser
-# is built, so a handler replaced on this module is the one that runs.
+# takes --json, and command <name> runs cmd_<name>, looked up on every call,
+# so a handler replaced on this module is the one that runs.  _match reads
+# only the keywords type, default, required, choices, help,
+# action="store_true" and nargs="*" (on the last positional).
 COMMANDS = {
     "gen": ("emit a catalog matroid as a .mtd file", (
         _arg("family"), _arg("params", nargs="*"), _arg("-o", "--output", required=True),
@@ -277,43 +280,88 @@ COMMANDS = {
 _JSON = _arg("--json", action="store_true", help="machine-readable output")
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser, given the whole argv; the full parser, whose
-    subparsers are built as this one is, reports what it rejects."""
-
-    class Rejected(Exception):
-        """A refusal, which the full parser reports."""
-
-    def error(self, message):
-        raise self.Rejected
-
-    def parse_args(self, argv):
-        try:
-            return super().parse_args(argv[1:])
-        except self.Rejected:
-            return build_parser().parse_args(argv)
+def _arguments(name: str) -> tuple:
+    """Command `name`'s arguments, --json included."""
+    args = COMMANDS[name][1]
+    return (args() if callable(args) else args) + (_JSON,)
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or a _CommandParser of command `only`."""
-    if only:
-        ap = _CommandParser(prog=f"mdl {only}")
-    else:
-        ap = argparse.ArgumentParser(prog="mdl", description=__doc__)
-        sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_, args) in COMMANDS.items():
-        if only in (None, name):
-            p = ap if only else sub.add_parser(name, help=help_)
-            for names, kw in (args() if callable(args) else args) + (_JSON,):
-                p.add_argument(*names, **kw)
-            p.set_defaults(func=globals()[f"cmd_{name}"])
+def _dest(names: tuple) -> str:
+    """The attribute argparse stores an argument under."""
+    if names[0][0] != "-":
+        return names[0]
+    return next((n for n in names if n[:2] == "--"), names[0]).lstrip("-").replace("-", "_")
+
+
+def _match(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace build_parser() makes of argv, read straight from COMMANDS
+    if argv is plainly spelled: a known command, each option once by its
+    exact name, no value or positional starting with '-', and a nargs="*"
+    positional in one unbroken run.  Anything else (help, refusals, other
+    spellings) gives None, and the full parser reads it."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    spec = [(_dest(names), names, kw) for names, kw in _arguments(argv[0])]
+    options = {n: (dest, kw) for dest, names, kw in spec for n in names if n[0] == "-"}
+    positionals = [(dest, kw) for dest, names, kw in spec if names[0][0] != "-"]
+    star = bool(positionals) and positionals[-1][1].get("nargs") == "*"
+
+    def value(kw, text):
+        v = kw.get("type", str)(text)
+        if v not in kw.get("choices", (v,)):
+            raise ValueError(v)
+        return v
+
+    got, pos, tokens = {}, [], iter(argv[1:])
+    try:
+        for tok in tokens:
+            if tok[:1] != "-":
+                pos.append((len(got), tok))  # and how many options come before it
+                continue
+            dest, kw = options.get(tok, (None, None))
+            if kw is None or dest in got:
+                return None
+            if kw.get("action") == "store_true":
+                got[dest] = True
+                continue
+            text = next(tokens, "-")
+            if text[:1] == "-":
+                return None
+            got[dest] = value(kw, text)
+        fixed, texts = len(positionals) - star, [tok for _, tok in pos]
+        if len(pos) < fixed or len(pos) > fixed and not star or star and len(dict(pos)) > 1:
+            return None  # too few or too many, or a nargs="*" run split by an option
+        got.update((dest, value(kw, text)) for (dest, kw), text in zip(positionals, texts[:fixed]))
+        if star:
+            got[positionals[-1][0]] = [value(positionals[-1][1], t) for t in texts[fixed:]]
+        for dest, names, kw in spec:
+            if dest not in got:
+                if kw.get("required"):
+                    return None
+                default = kw.get("default", False if kw.get("action") else None)
+                got[dest] = kw.get("type", str)(default) if isinstance(default, str) else default
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**got, func=globals()[f"cmd_{argv[0]}"])
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: it reads what _match leaves, such as
+    help, refusals and unusual spellings, and prints argparse's own text."""
+    ap = argparse.ArgumentParser(prog="mdl", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for names, kw in _arguments(name):
+            p.add_argument(*names, **kw)
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = _match(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:

@@ -329,13 +329,17 @@ def _max_uniform_restriction(m: Matroid, k: int, cap: int | None) -> int:
     either p is in X, and a set holding p spans e, or p was rejected
     for lying in the closure of a set that is still inside X, and that
     set spans e too.  So X, the point where the cap raises and its
-    witness do not change.
+    witness do not change.  At k = 2 every check passes without a rank
+    query: any two distinct points span rank 2, so X is every
+    representative, up to the cap.
     """
     x_list: list[int] = []
     x_mask = 0
     for e in bits(m.representatives()):
         be = 1 << e
-        if len(x_list) < k:
+        if k == 2:
+            ok = True
+        elif len(x_list) < k:
             ok = m.rank(x_mask | be) == len(x_list) + 1
         else:
             ok = all(m.rank(s | be) == k for s in ksubsets(x_mask, k - 1))

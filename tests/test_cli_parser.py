@@ -1,10 +1,12 @@
 """The table-built parser against the hand-written one it replaced.
 
-`main` builds the parser of the named command alone, and every command's
-parser only for a bare `mdl`, `-h`/`--help`, an unknown command, or to
-report what the one-command parser rejects.  Its exit codes, output and
-error text must be those of the old parser (tests/cli_reference.py), byte
-for byte, and every call must build its own parser.
+`main` reads a plainly spelled argument vector straight from the command
+table (`cli._match`) and builds no parser; a bare `mdl`, `-h`/`--help`,
+an unknown command, a refusal or any other spelling goes to the full
+parser.  Either way its exit codes, output and error text must be those of
+the old parser (tests/cli_reference.py), byte for byte, `_match` must
+build the namespace the full parser builds, and every call must build its
+own parser.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -34,7 +37,8 @@ def outcome(argv, reference=False):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         if reference:
-            mp.setattr(cli, "build_parser", lambda only=None: cli_reference.build_parser())
+            mp.setattr(cli, "build_parser", cli_reference.build_parser)
+            mp.setattr(cli, "_match", lambda argv: None)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
@@ -116,6 +120,121 @@ def test_rejected_argv_match_old_parser(files):
     check()
 
 
+def readme_examples():
+    """The argument vectors of README's usage block, each line `mdl ...`."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        return [shlex.split(line, comments=True)[1:] for line in fh if line.startswith("mdl ")]
+
+
+def job_shapes(fano):
+    """One argument vector of each shape the benchmark's jobs take."""
+    return [["tau", fano, "--a", "2", "--json"], ["tauw", fano, "--d", "2", "--json"],
+            ["cover", "thm4", fano, "--a", "1", "--b", "4", "--json"],
+            ["rep", fano, "--q", "2"], ["pg", fano, "--n", "3", "--q", "2", "--json"],
+            ["stack", "find", fano, "--q", "2", "--h", "1", "--t", "2", "--json"],
+            ["round", fano, "--json"],
+            ["verify", "thm4", "--trials", "30", "--seed", "0", "--json"]]
+
+
+def full_parse(argv):
+    """What the full parser reads from argv, less the command name."""
+    namespace = vars(cli.build_parser().parse_args(argv))
+    del namespace["command"]
+    return namespace
+
+
+def test_match_reads_what_the_full_parser_reads(files):
+    answered = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fuzz_argv(files))
+    def check(argv):
+        got = cli._match(argv)
+        if got is not None:
+            answered.append(argv)
+            assert vars(got) == full_parse(argv), argv
+
+    check()
+    assert len(answered) > 50  # 87 of the 300 draws are plainly spelled
+    examples = readme_examples()
+    assert len(examples) == 12
+    for argv in examples + job_shapes(files[0]):
+        got = cli._match(argv)
+        assert got is not None, argv
+        assert vars(got) == full_parse(argv), argv
+
+
+# a token starting with "-" that names no option of any command
+STRAY = ["-h", "--help", "--", "--bogus", "-", "-1", "--a=1", "--js"]
+
+
+@st.composite
+def stray_argv(draw, files):
+    argv = draw(fuzz_argv(files))
+    argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(STRAY)))
+    return argv
+
+
+def test_match_leaves_other_spellings_to_the_full_parser(files):
+    fano, out = files[0], files[0] + ".gen.mtd"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(stray_argv(files))
+    @example([])  # no command
+    @example(["tua", fano, "--a", "1"])  # an unknown command
+    @example(["--json", "tau", fano, "--a", "1"])  # an option before the command
+    @example(["tau", fano, "--a", "1", "-h"])  # help
+    @example(["stack", "find", fano, "--help", "--q", "2", "--t", "2"])
+    @example(["round", fano, "--alp", "1/2"])  # an abbreviation
+    @example(["tau", fano, "--a=1"])  # an option joined to its value
+    @example(["tau", "--a", "1", "--", fano])  # --
+    @example(["tau", fano, "--a", "1", "--a", "2"])  # a repeated option
+    @example(["tau", fano, "--a", "1", "--json", "--json"])  # a repeated flag
+    @example(["tauw", fano, "--d", "-1"])  # a value starting with "-"
+    @example(["conn", "-", "--x", "0", "--y", "1"])  # a positional starting with "-"
+    @example(["tau", fano, "--a", "x"])  # a type failure
+    @example(["round", fano, "--alpha", "1/0"])
+    @example(["stack", "bogus", fano, "--q", "2", "--t", "2"])  # a choice failure
+    @example(["verify", "lemma99"])
+    @example(["tau", fano])  # a missing option
+    @example(["tau", "--a", "1"])  # a missing positional
+    @example(["tau", fano, "--a"])  # a missing value
+    @example(["tau", fano, "--a", "1", "extra"])  # an extra argument
+    @example(["gen", "pg", "-o", out, "4", "2"])  # gen's parameters split by an option
+    def check(argv):
+        assert cli._match(argv) is None, argv
+
+    check()
+
+
+# the keywords of add_argument that _match reads as argparse does
+INTERPRETED = {"type", "default", "required", "choices", "help", "action", "nargs"}
+
+
+def uninterpreted():
+    """(command, argument names) of every argument in the table that _match
+    would misread."""
+    bad = []
+    for name in cli.COMMANDS:
+        args = cli._arguments(name)
+        last = max((i for i, (names, _) in enumerate(args) if names[0][0] != "-"), default=-1)
+        for i, (names, kw) in enumerate(args):
+            if (set(kw) - INTERPRETED or kw.get("action", "store_true") != "store_true"
+                    or kw.get("nargs", "*") != "*" or "nargs" in kw and i != last):
+                bad.append((name, names))
+    return bad
+
+
+def test_match_reads_every_keyword_of_the_table(monkeypatch):
+    assert uninterpreted() == []
+    monkeypatch.setitem(cli.COMMANDS, "x", ("", (
+        cli._arg("file", nargs="?"), cli._arg("--y", action="append"),
+        cli._arg("--z", metavar="Z"), cli._arg("more", nargs="*"), cli._arg("last"))))
+    assert uninterpreted() == [("x", ("file",)), ("x", ("--y",)), ("x", ("--z",)),
+                               ("x", ("more",))]
+
+
 @pytest.fixture
 def parsers_built(monkeypatch):
     """A list that records the prog of every ArgumentParser built."""
@@ -133,27 +252,26 @@ def parsers_built(monkeypatch):
 def test_main_builds_only_the_named_command(files, parsers_built, capsys):
     fano = files[0]
     assert cli.main(["tau", fano, "--a", "1"]) == 0
-    assert parsers_built == ["mdl tau"]
-    # every call builds its own parser: none is kept from the call before
+    assert parsers_built == []
+    # every call reads the table anew: no parser is kept from the call before
     assert cli.main(["tau", fano, "--a", "1"]) == 0
-    assert parsers_built == ["mdl tau", "mdl tau"]
-    parsers_built.clear()
+    assert parsers_built == []
     assert cli.main(["--help"]) == 0
     assert parsers_built == FULL_PARSER
     parsers_built.clear()
     assert cli.main(["tua"]) == 2
     assert parsers_built == FULL_PARSER
     parsers_built.clear()
-    # what the one-command parser rejects, the full parser reports
+    # what the table match refuses, the full parser reports
     assert cli.main(["tau", fano, "--a", "1", "extra"]) == 2
-    assert parsers_built == ["mdl tau"] + FULL_PARSER
+    assert parsers_built == FULL_PARSER
     capsys.readouterr()
 
 
 def test_entry_point_reads_sys_argv(files, parsers_built, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["mdl", "tau", files[0], "--a", "1"])
     assert cli.main() == 0
-    assert parsers_built == ["mdl tau"]
+    assert parsers_built == []
     assert "tau=7" in capsys.readouterr().out
 
 
