@@ -84,6 +84,19 @@ def _refuse(name: str, rank: int, columns: int) -> None:
         raise InputError(f"{name} would have more than {MAX_GROUND} rows or elements")
 
 
+def _random_columns(rng: random.Random, count: int, rows: int, q: int) -> list[tuple[int, ...]]:
+    """`count` nonzero GF(q) columns of length `rows`, each drawn from rng
+    entry by entry, top row first, and drawn again while it is zero."""
+    columns = []
+    for _ in range(count):
+        while True:
+            col = tuple(rng.randrange(q) for _ in range(rows))
+            if any(col):
+                break
+        columns.append(col)
+    return columns
+
+
 def gen(name: str, params: Sequence = (), seed: int = 0) -> Matroid:
     """Build a named family member; see the module docstring for the list.
 
@@ -113,15 +126,7 @@ def gen(name: str, params: Sequence = (), seed: int = 0) -> Matroid:
         rank, cols, q = params
         gf.field(q)
         _refuse(name, rank, cols)
-        rng = random.Random(seed)
-        columns = []
-        for _ in range(cols):
-            while True:
-                col = tuple(rng.randrange(q) for _ in range(rank))
-                if any(col):
-                    break
-            columns.append(col)
-        return _linear(q, columns, rank)
+        return _linear(q, _random_columns(random.Random(seed), cols, rank, q), rank)
     if name == "pg_plus_noise":
         n, q, q2, extra = params
         f2 = gf.field(q2)
@@ -129,14 +134,7 @@ def gen(name: str, params: Sequence = (), seed: int = 0) -> Matroid:
             raise InputError("pg_plus_noise needs q prime and q2 = q^2")
         _refuse(name, n, _points(n, q) + extra)
         columns = gf.normalized_vectors(gf.field(q), n)  # GF(q) digits are GF(q^2) constants
-        rng = random.Random(seed)
-        for _ in range(extra):
-            while True:
-                col = tuple(rng.randrange(q2) for _ in range(n))
-                if any(col):
-                    break
-            columns.append(col)
-        return _linear(q2, columns, n)
+        return _linear(q2, columns + _random_columns(random.Random(seed), extra, n, q2), n)
     (h,) = params  # u24_tower
     _refuse(name, 2 * h, 4 * h)
     return direct_sum([UniformMatroid(2, 4) for _ in range(h)])

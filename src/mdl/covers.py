@@ -252,9 +252,8 @@ def tau(m: Matroid, a: int) -> CoverResult:
         return CoverResult(0, Cover(()))
     if a < 0:
         return CoverResult(INF, None)
-    loops = m.loops()
     if a == 0:
-        if m.ground & ~loops:
+        if m.ground & ~m.loops():
             return CoverResult(INF, None)
         return CoverResult(1, Cover((m.ground,)))
     r = m.rank()
@@ -366,8 +365,8 @@ def kdensity_cover(m: Matroid, a: int, b: int) -> Cover:
     Inductive case: contract a nonloop, cover the contraction, then
     refine each lifted class by the base case: above rank a every member
     has rank exactly a, so a lifted class has rank a+1.  Requires no
-    U_{a+1,b} restriction to surface; if one does, UniformMinorDetected
-    carries the witness.
+    U_{a+1,b} restriction of a contraction to surface; if one does,
+    UniformMinorDetected carries the witness and the contracted set.
     """
     if not 1 <= a < b:
         raise InputError("need 1 <= a < b")
@@ -381,7 +380,10 @@ def kdensity_cover(m: Matroid, a: int, b: int) -> Cover:
         return Cover(tuple(f for f in m.flats_of_rank(a) if (f & x).bit_count() >= a))
     nl = m.nonloops()
     e = (nl & -nl).bit_length() - 1
-    sub = kdensity_cover(m.contract(1 << e), a, b)
+    try:
+        sub = kdensity_cover(m.contract(1 << e), a, b)
+    except UniformMinorDetected as exc:
+        raise UniformMinorDetected(exc.message, exc.witness, exc.contracted | 1 << e) from None
     out: set[int] = set()
     for f in sub.sets:
         out.update(kdensity_cover(m.restrict(f | (1 << e)), a, b).sets)

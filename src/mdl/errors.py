@@ -35,13 +35,17 @@ class PremiseError(InputError):
 
 
 class UniformMinorDetected(PremiseError):
-    """A forbidden uniform restriction showed up mid-procedure.
+    """A forbidden uniform minor showed up mid-procedure.
 
-    Carries the witness subset (a bit mask) whose restriction is the
-    uniform matroid that the caller asserted was excluded; the message
-    lists its elements.
+    Carries the witness subset (a bit mask) and the set `contracted` (a
+    bit mask of the caller's input, empty when nothing was contracted):
+    (M/contracted)|witness is the uniform matroid that the caller
+    asserted was excluded.  The message lists the elements of both.
     """
 
-    def __init__(self, message: str, witness: int):
-        super().__init__(f"{message} on elements {' '.join(map(str, bits(witness)))}")
-        self.witness = witness
+    def __init__(self, message: str, witness: int, contracted: int = 0):
+        text = f"{message} on elements {' '.join(map(str, bits(witness)))}"
+        if contracted:
+            text += f" after contracting {' '.join(map(str, bits(contracted)))}"
+        super().__init__(text)
+        self.message, self.witness, self.contracted = message, witness, contracted

@@ -1,7 +1,10 @@
 """Arithmetic tables for small finite fields GF(q), q a prime power <= 32.
 
-Extension fields are built from one fixed irreducible modulus per order,
-so the element encoding is reproducible across runs and machines:
+Every order q = p^k is built the same way, as the polynomials over
+GF(p) modulo one fixed monic modulus of degree k, so the element
+encoding is reproducible across runs and machines.  A prime field takes
+the modulus x, so its elements are the constants; each extension field
+takes a fixed irreducible one:
 
     GF(4):  x^2 + x + 1
     GF(8):  x^3 + x + 1
@@ -114,25 +117,20 @@ class FiniteField:
             raise InputError(f"q={q} is not a prime power in [2, {MAX_ORDER}]")
         self.q = q
         self.p, self.k = pp
-        if self.k == 1:
-            self.irreducible_poly = None
-            self.add_table = tuple(tuple((x + y) % q for y in range(q)) for x in range(q))
-            self.mul_table = tuple(tuple((x * y) % q for y in range(q)) for x in range(q))
-        else:
-            mod = _IRREDUCIBLE[q]
-            self.irreducible_poly = mod
-            polys = [_digits(x, self.p, self.k) for x in range(q)]
-            add = []
-            mul = []
-            for x in range(q):
-                add.append(tuple(
-                    _undigits([(a + b) % self.p for a, b in zip(polys[x], polys[y])], self.p)
-                    for y in range(q)))
-                mul.append(tuple(
-                    _undigits(_poly_mul_mod(polys[x], polys[y], mod, self.p), self.p)
-                    for y in range(q)))
-            self.add_table = tuple(add)
-            self.mul_table = tuple(mul)
+        self.irreducible_poly = _IRREDUCIBLE.get(q)
+        mod = self.irreducible_poly or (0, 1)  # GF(p): the polynomials mod x
+        polys = [_digits(x, self.p, self.k) for x in range(q)]
+        add = []
+        mul = []
+        for x in range(q):
+            add.append(tuple(
+                _undigits([(a + b) % self.p for a, b in zip(polys[x], polys[y])], self.p)
+                for y in range(q)))
+            mul.append(tuple(
+                _undigits(_poly_mul_mod(polys[x], polys[y], mod, self.p), self.p)
+                for y in range(q)))
+        self.add_table = tuple(add)
+        self.mul_table = tuple(mul)
         neg = [0] * q
         for x in range(q):
             neg[x] = self.add_table[x].index(0)

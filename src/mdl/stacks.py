@@ -45,9 +45,6 @@ class StackCheck:
     ok: bool
     reason: str | None = None
 
-    def __bool__(self):
-        return self.ok
-
 
 def verify_stack(m: Matroid, cert: StackCert) -> StackCheck:
     """Check every certificate clause; report the first violated one.
@@ -78,19 +75,13 @@ def verify_stack(m: Matroid, cert: StackCert) -> StackCheck:
     return StackCheck(True)
 
 
-def layer_ranks(m: Matroid, parts: tuple[int, ...]) -> list[int]:
-    out = []
-    cur = m
-    for f in parts:
-        out.append(cur.rank(f))
-        cur = cur.contract(f)
-    return out
-
-
 def certify(m: Matroid, parts: tuple[int, ...], q: int, t: int | None = None) -> StackCert:
     """Build a certificate (t defaults to the max layer rank) and verify it."""
     if parts and t is None:
-        t = max(layer_ranks(m, parts))
+        t, cur = 0, m
+        for f in parts:
+            t = max(t, cur.rank(f))
+            cur = cur.contract(f)
     cert = StackCert(tuple(parts), q, t if t is not None else 2)
     check = verify_stack(m, cert)
     if not check.ok:
@@ -116,17 +107,8 @@ def find_stack(m: Matroid, q: int, h: int, t: int) -> StackCert | None:
     if t < 2 or h < 0:
         raise InputError("need t >= 2 and h >= 0")
     budget = [cap_override(LAYER_BUDGET)]
-    rep_cache: dict[tuple[int, int], bool] = {}
 
-    def representable(cur: Matroid, prefix: int, fl: int) -> bool:
-        key = (prefix, fl)
-        got = rep_cache.get(key)
-        if got is None:
-            got = rep.representable(cur.restrict(fl), q)
-            rep_cache[key] = got
-        return got
-
-    def recurse(cur: Matroid, prefix: int, chosen: list[int], depth: int):
+    def recurse(cur: Matroid, chosen: list[int], depth: int):
         if depth == h:
             return tuple(chosen)
         if cur.rank() < 2 * (h - depth):
@@ -136,16 +118,16 @@ def find_stack(m: Matroid, q: int, h: int, t: int) -> StackCert | None:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise CapExceeded("find_stack exceeded its layer evaluation budget")
-                if representable(cur, prefix, fl):
+                if rep.representable(cur.restrict(fl), q):
                     continue
                 chosen.append(fl)
-                out = recurse(cur.contract(fl), prefix | fl, chosen, depth + 1)
+                out = recurse(cur.contract(fl), chosen, depth + 1)
                 if out is not None:
                     return out
                 chosen.pop()
         return None
 
-    parts = recurse(m, 0, [], 0)
+    parts = recurse(m, [], 0)
     if parts is None:
         return None
     return certify(m, parts, q, t)

@@ -1,5 +1,7 @@
 """Generators and the .mtd format."""
 
+import hashlib
+
 import pytest
 
 from mdl import catalog, rep
@@ -31,12 +33,37 @@ def test_tower_generator():
     assert m.size() == 12 and m.rank() == 6
 
 
-def test_linear_random_deterministic():
+# sha256 of the written files of seeds 0 to 19, one after another
+SEEDED_DIGESTS = {
+    ("linear_random", (3, 9, 2)):
+        "5b8c1a1dcea3bebff8db9339bfbbb7079341f739fb6338f2fa999a869414c339",
+    ("linear_random", (5, 18, 4)):
+        "573415ad86d2edbd7a8ea75949062ea47a53868d252ef118f353a6559a7d48c7",
+    ("linear_random", (4, 20, 9)):
+        "d16374dd8487a6f29bff50d0e125ca68eab19a33d8cc0c0fff3dd292dc095f56",
+    ("pg_plus_noise", (3, 2, 4, 3)):
+        "a2b0d13330638ae739ece87a4bc6eb37314700220e22d3912dc6d5213945811f",
+    ("pg_plus_noise", (4, 3, 9, 5)):
+        "f80ad978a455f3474814b25df6b4c2f9dac5c70757c35cba33ee7e20aaaa19f8",
+    ("pg_plus_noise", (3, 5, 25, 2)):
+        "0f20c8caf819c0ce10fe8a184a59c28ffc4c83bd8bfdbb5671232f2ab25660ba",
+}
+
+
+def test_linear_random_deterministic(tmp_path):
     a = catalog.gen("linear_random", (3, 8, 4), seed=11)
     b = catalog.gen("linear_random", (3, 8, 4), seed=11)
     c = catalog.gen("linear_random", (3, 8, 4), seed=12)
     assert a.matrix.entries == b.matrix.entries
     assert a.matrix.entries != c.matrix.entries
+    # the seeded columns are drawn in one fixed order, file for file
+    path = tmp_path / "m.mtd"
+    for (family, params), want in SEEDED_DIGESTS.items():
+        h = hashlib.sha256()
+        for seed in range(20):
+            catalog.write_matroid(catalog.gen(family, params, seed=seed), str(path))
+            h.update(path.read_bytes())
+        assert h.hexdigest() == want, (family, params)
 
 
 def test_pg_plus_noise_shape():

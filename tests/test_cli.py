@@ -183,6 +183,12 @@ def test_usage_errors(tmp_path, capsys):
     run(capsys, "gen", "uniform", "2", "8", "-o", u28)
     code, _, err = run(capsys, "cover", "thm4", u28, "--a", "1", "--b", "4")
     assert code == 2 and "error:" in err and "0 1 2 3" in err
+    # and names the contraction that restriction lives in
+    u36 = str(tmp_path / "u36.mtd")
+    run(capsys, "gen", "uniform", "3", "6", "-o", u36)
+    code, _, err = run(capsys, "cover", "thm4", u36, "--a", "1", "--b", "3")
+    assert code == 2
+    assert err == "error: found a U_{2,3} restriction on elements 1 2 3 after contracting 0\n"
     # malformed directives report file:line
     for bad in ("rank", "rank x"):
         p = tmp_path / "bad.mtd"

@@ -239,6 +239,25 @@ def test_kdensity_detects_forbidden_restriction():
     assert exc.value.witness.bit_count() == 4
 
 
+def test_kdensity_names_the_contraction_of_its_witness():
+    # (M/C)|W is U_{a+1,b}, with C the contracted set relative to the input
+    cases = [(UniformMatroid(r, n), a, b) for r in (2, 3, 4, 5) for n in range(r + 1, 9)
+             for a in range(1, r) for b in range(a + 2, n - r + a + 2)]
+    cases += [(random_linear(seed, q=3, r=4, n=9), 1, 3) for seed in range(6)]
+    contracted = [0, 0]
+    for m, a, b in cases:
+        with pytest.raises(UniformMinorDetected) as exc:
+            covers.kdensity_cover(m, a, b)
+        c, w = exc.value.contracted, exc.value.witness
+        mc = m.contract(c)
+        assert not c & w and w.bit_count() == b and mc.rank(w) == a + 1
+        assert all(mc.rank(s) == a + 1 for s in ksubsets(w, a + 1))
+        tail = f" after contracting {' '.join(map(str, bits(c)))}" if c else ""
+        assert str(exc.value).endswith(f"on elements {' '.join(map(str, bits(w)))}{tail}")
+        contracted[c != 0] += 1
+    assert min(contracted) > 20
+
+
 def test_kdensity_bound_over_seeds():
     for seed in range(10):
         q = 2 if seed % 2 else 3
@@ -662,8 +681,9 @@ def test_kdensity_cover_kernel_counts(monkeypatch):
 def test_thm4_suite_kernel_counts(monkeypatch):
     """The same for the thm4 suite's tau and kdensity_cover checks (the
     closure-per-subset base case made 2,370 closures and 6,251
-    eliminations, and X grown by rank queries at a = 1 4,917
-    eliminations)."""
+    eliminations, X grown by rank queries at a = 1 4,917 eliminations,
+    and a loop mask built by every tau call, 125 here, 1,214 closures
+    and 3,826 eliminations)."""
     counts = counting_kernels(monkeypatch)
     assert harness.run_suite("thm4", 125, 0).passed
-    assert counts == {"closures": 1214, "eliminations": 3826}
+    assert counts == {"closures": 1089, "eliminations": 3701}

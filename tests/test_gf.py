@@ -90,6 +90,15 @@ def test_fixed_irreducible_polynomials():
     assert gf.field(5).irreducible_poly is None
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_prime_field_tables_are_integers_mod_q(q):
+    # the polynomials mod x are the constants, added and multiplied mod q
+    f = gf.FiniteField(q)
+    assert (f.p, f.k, f.irreducible_poly) == (q, 1, None)
+    assert f.add_table == tuple(tuple((x + y) % q for y in range(q)) for x in range(q))
+    assert f.mul_table == tuple(tuple((x * y) % q for y in range(q)) for x in range(q))
+
+
 def test_prime_subfield_embedding():
     # constants of GF(p^k) add and multiply like GF(p)
     for q, p in [(4, 2), (9, 3), (25, 5)]:

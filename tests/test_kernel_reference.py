@@ -47,11 +47,14 @@ CORPUS = list(corpus())
 
 
 def outcome(fn, *args):
-    """fn's value, or its exception's type, message and witness."""
+    """fn's value, or its exception's type, message and witness.  The
+    message is cut before the clause naming a contracted set: the
+    reference's copy of kdensity_cover does not build it."""
     try:
         return "ok", fn(*args)
     except (RuntimeError, ValueError) as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+        message = str(exc).split(" after contracting ")[0]
+        return type(exc).__name__, message, getattr(exc, "witness", None)
 
 
 @pytest.mark.parametrize("label,m", CORPUS, ids=[label for label, _ in CORPUS])

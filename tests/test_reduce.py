@@ -22,6 +22,17 @@ def test_reduce_connectivity_trivial_branch():
     assert reductions.reduce_connectivity(m, point, 1, 4) == m.ground
 
 
+def test_reduce_connectivity_trivial_branch_computes_no_cover(monkeypatch):
+    # r(Y) <= a returns E(M) before any covering number is needed
+    def refuse(*args):
+        raise AssertionError("tau called")
+
+    monkeypatch.setattr(reductions, "tau", refuse)
+    m = catalog.gen("pg", (4, 2))
+    for y in (0, m.flats_of_rank(1)[0], m.flats_of_rank(2)[3]):
+        assert reductions.reduce_connectivity(m, y, 2, 4) == m.ground
+
+
 def test_reduce_connectivity_fano_line():
     m = catalog.gen("pg", (3, 2))
     line = m.flats_of_rank(2)[0]

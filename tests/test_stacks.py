@@ -68,14 +68,15 @@ def test_find_stack_rediscovers_tower():
     m = catalog.gen("u24_tower", (4,))
     cert = stacks.find_stack(m, 2, 4, 2)
     assert cert is not None
-    assert cert.height == 4
+    assert cert.parts == tuple(mask_of(range(4 * i, 4 * i + 4)) for i in range(4))
     assert stacks.verify_stack(m, cert).ok
 
 
 def test_find_stack_rediscovers_pg34_layers():
     m = catalog.gen("pg", (4, 4))
     cert = stacks.find_stack(m, 3, 2, 2)
-    assert cert is not None and cert.height == 2
+    # the first line in flat order, then all of M/line: a rank-2 PG(1, 4)
+    assert cert is not None and cert.parts == (mask_of(range(5)), mask_of(range(5, 85)))
     assert stacks.verify_stack(m, cert).ok
 
 
