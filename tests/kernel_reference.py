@@ -2,11 +2,12 @@
 cover branch and bound building its branch tables before rule 1, the
 Theorem 4 base case taking one closure per a-subset of X, the uniform
 restriction scanning every element, the representability re-check
-walking every level of the flat lattice, and `gf.Matrix` checking and
-transposing entry by entry.  Kept as the reference that
-tests/test_kernel_reference.py compares `mdl.covers`, `mdl.rep` and
-`mdl.gf` with: the same values, covers, witnesses, verdicts, entries
-and error text.  The copies are verbatim; recursive calls and
+walking every level of the flat lattice, `gf.Matrix` checking and
+transposing entry by entry, and the stack projection making C disjoint
+from the stack in a parallel extension.  Kept as the reference that
+tests/test_kernel_reference.py compares `mdl.covers`, `mdl.rep`,
+`mdl.gf` and `mdl.stacks` with: the same values, covers, witnesses,
+verdicts, entries, parts and error text.  The copies are verbatim; recursive calls and
 `thick_uniform_minor` reach the copies here."""
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import math
 from typing import Iterable, Sequence
 
 from mdl import gf
-from mdl.bits import bits, ksubsets
-from mdl.core import Matroid
+from mdl.bits import bits, indices_of, ksubsets, mask_of, union
+from mdl.core import Matroid, parallel_extension
 from mdl.covers import (COVER_NODE_CAP, INF, Cover, _bound_scale, _fractional_bound,
                         is_d_thick)
 from mdl.errors import CapExceeded, InputError, PremiseError, UniformMinorDetected
 from mdl.gf import FiniteField
+from mdl.stacks import StackCert, certify, verify_stack
 
 
 def _min_cover(universe: int, cands: list[int], weights: list[int]):
@@ -289,3 +291,48 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix(GF({self.field.q}), {self.rows}x{self.cols})"
+
+
+def project_stack(m: Matroid, cert: StackCert, c: int, k: int) -> StackCert:
+    """Survive a projection: a k(r(C)+1)-layer stack yields a k-layer
+    stack of (M/C)|E(S) inside the original stack's ground.
+
+    Recursion from the robustness proof: if C is skew to the first k
+    layers they survive verbatim; otherwise contract those layers, which
+    strictly drops r(C), recurse, and fold the contracted layers into the
+    first returned one.  When C meets E(S), work in a parallel extension
+    so the two are disjoint, then strip C from the result.
+    """
+    check = verify_stack(m, cert)
+    if not check.ok:
+        raise PremiseError(f"supplied certificate invalid: {check.reason}")
+    rc = m.rank(c)
+    if cert.height < k * (rc + 1):
+        raise PremiseError(
+            f"need at least k(r(C)+1) = {k * (rc + 1)} layers, have {cert.height}")
+    layers = cert.union()
+    overlap = c & layers
+    if overlap:
+        originals = indices_of(overlap)
+        pe = parallel_extension(m, originals)
+        c_work = (c & ~layers) | mask_of(pe.copy_index(i) for i in range(len(originals)))
+        host: Matroid = pe
+    else:
+        c_work = c
+        host = m
+
+    def recurse(cur: Matroid, parts: tuple[int, ...], cset: int) -> tuple[int, ...]:
+        if cur.rank(cset) == 0:
+            return parts[:k]
+        first = union(parts[:k])
+        if cur.local_conn(cset, first) == 0:
+            return parts[:k]
+        nxt = cur.contract(first)
+        if nxt.rank(cset) >= cur.rank(cset):
+            raise RuntimeError("projection recursion failed to reduce r(C)")
+        sub = recurse(nxt, parts[k:], cset)
+        return (first | sub[0],) + tuple(sub[1:])
+
+    parts = recurse(host, cert.parts, c_work)
+    stripped = tuple(p & ~c for p in parts)
+    return certify(m.contract(c), stripped, cert.q)

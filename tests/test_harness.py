@@ -48,17 +48,32 @@ def test_lem9_rank_one_corpus():
     assert harness.run_suite("lem9", 78, 0).passed
 
 
-def test_perfbench_tracer_wraps_every_layer():
-    # the benchmark's traced run wraps mdl's entry points by name; run it
-    # in a subprocess because installing rebinds mdl's module globals
+def run_traced(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run code after installing the benchmark's tracer (perfbench/tracing.py,
+    read and not edited).  It wraps mdl's internals by name, so a rename
+    fails here rather than only under `perfbench/run.py --trace 1`.  A
+    subprocess, because installing rebinds mdl's module globals."""
     root = pathlib.Path(__file__).resolve().parents[1]
-    code = ("import mdl, tracing; t = tracing.Tracer(); t.install(mdl); "
-            "mdl.cli.main(['verify', 'lem10', '--trials', '2']); "
-            "assert t.counts['harness.trials'] == 2, dict(t.counts)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "perfbench"), str(root / "src")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
-                         capture_output=True, text=True, timeout=120)
+    code = "import mdl, tracing; t = tracing.Tracer(); t.install(mdl)\n" + code
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_perfbench_tracer_wraps_every_layer(tmp_path):
+    out = run_traced("mdl.cli.main(['verify', 'lem10', '--trials', '2'])\n"
+                     "assert t.counts['harness.trials'] == 2, dict(t.counts)", tmp_path)
+    assert out.returncode == 0, out.stderr
+
+
+def test_perfbench_tracer_runs_pg_and_lem7(tmp_path):
+    code = ("from mdl import catalog\n"
+            "catalog.write_matroid(catalog.gen('pg', (3, 2)), 'fano.mtd')\n"
+            "codes = [mdl.cli.main(['pg', 'fano.mtd', '--n', '3', '--q', '2']),\n"
+            "         mdl.cli.main(['verify', 'lem7', '--trials', '10'])]\n"
+            "assert codes == [0, 0], codes")
+    out = run_traced(code, tmp_path)
     assert out.returncode == 0, out.stderr
 
 

@@ -1,14 +1,17 @@
-"""`mdl.covers`, `mdl.rep` and `mdl.gf` against the verbatim copies of
-their earlier kernels in tests/kernel_reference.py: the same covers,
-witnesses, cover values and selections, re-check verdicts, matrix
-entries and error text on seeded corpora."""
+"""`mdl.covers`, `mdl.rep`, `mdl.gf` and `mdl.stacks` against the
+verbatim copies of their earlier kernels in tests/kernel_reference.py:
+the same covers, witnesses, cover values and selections, re-check
+verdicts, matrix entries, stack parts and error text on seeded
+corpora."""
 
 import random
+from collections import Counter
 
 import pytest
 
 import kernel_reference as ref
-from mdl import catalog, covers, gf, rep
+from mdl import catalog, covers, gf, rep, stacks
+from mdl.bits import mask_of
 from mdl.core import UniformMatroid, direct_sum, parallel_extension
 from mdl.errors import InputError
 
@@ -213,3 +216,43 @@ def test_matrix_matches_reference_on_the_catalog():
     cols = [tuple(rng.randrange(8) for _ in range(5)) for _ in range(30)]
     new, old = gf.Matrix.from_columns(f, cols, 5), ref.Matrix.from_columns(f, cols, 5)
     assert (new.entries, new.columns()) == (old.entries, old.columns())
+
+
+def planted_projections():
+    """Seeded (m, cert, C, k) in the lem7 shapes, k in {1, 2}: GF(4)
+    blocks of U_{2,4} layers plus extra columns on chosen blocks.  C
+    always meets the stack: each extra column joins C itself or through
+    an element of a block it lies on, at least one through an element,
+    and a fifth of the time one more stack element joins, which may
+    break the premise r(C) <= h/k - 1."""
+    from mdl.harness import _blocks_matroid
+
+    rng = random.Random(26)
+    for _ in range(150):
+        k = rng.choice([1, 2])
+        rc_target = rng.choice([1, 2] if k == 1 else [1])
+        nblocks = k * (rc_target + 1)
+        extras = [rng.sample(range(nblocks), rng.choice([1, 1, 2])) for _ in range(rc_target)]
+        loops = rng.choice([0, 0, 1])
+        m, parts = _blocks_matroid(nblocks, extras, loops=loops)
+        through = rng.randrange(1 << rc_target) or 1
+        c = mask_of(range(4 * nblocks + len(extras), 4 * nblocks + len(extras) + loops))
+        for i, support in enumerate(extras):
+            c |= 1 << (4 * rng.choice(support) + rng.randrange(4) if through >> i & 1
+                       else 4 * nblocks + i)
+        if rng.random() < 0.2:
+            c |= 1 << rng.randrange(4 * nblocks)
+        yield m, stacks.StackCert(parts, 2, 2), c, k
+
+
+def test_project_stack_matches_parallel_extension_reference():
+    kinds = Counter()
+    for m, cert, c, k in planted_projections():
+        want = outcome(ref.project_stack, m, cert, c, k)
+        assert outcome(stacks.project_stack, m, cert, c, k) == want, (cert.parts, c, k)
+        if want[0] == "ok":
+            want = want[1].parts
+            kinds["folded" if want[0] & ~cert.parts[0] else "verbatim"] += 1
+        else:
+            kinds[want[0]] += 1
+    assert kinds["folded"] >= 20 and kinds["verbatim"] >= 10, kinds

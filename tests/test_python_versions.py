@@ -4,10 +4,17 @@ the other Python versions on PATH.
 Each of python3.10, python3.12 and python3.13 that runs gets one
 process, which runs the twelve `mdl verify` suites (seed 1, 20 trials,
 lem14 4) with --json and `mdl tau --help`.  Their stdout and exit codes
-must equal those of the interpreter running the tests.  An interpreter
-that is not on PATH, or that does not start, is skipped.
+must equal those of the interpreter running the tests.  A pyenv shim
+that does not start by itself is tried again with PYENV_VERSION set to
+each installed version of its minor release.  An interpreter that is
+not on PATH, or that does not start either way, is skipped.
+
+Every file in src/mdl must also parse under the 3.10 grammar.  That
+checks syntax only, not the standard-library APIs a file uses.
 """
 
+import ast
+import glob
 import json
 import os
 import shutil
@@ -40,10 +47,10 @@ print(json.dumps(out))
 """
 
 
-def outputs(python, cwd):
+def outputs(python, cwd, **env_vars):
     """[argv, exit code, stdout] of each command under `python`, or None
     when `python` does not start."""
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1", **env_vars)
     try:
         proc = subprocess.run([python, "-c", RUN], cwd=cwd, env=env, capture_output=True,
                               text=True, timeout=300)
@@ -61,10 +68,33 @@ def reference(tmp_path_factory):
     return outputs(sys.executable, tmp_path_factory.mktemp("reference"))
 
 
+def pyenv_versions(name):
+    """The installed pyenv versions of the minor release that `name`
+    (python3.X) names, or [] without pyenv."""
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return []
+    proc = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True,
+                          timeout=60)
+    minor = name.removeprefix("python")
+    return [v for v in proc.stdout.split() if v.startswith(minor + ".")]
+
+
 @pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
 def test_outputs_match_under_other_python_versions(name, reference, tmp_path):
     python = shutil.which(name)
     got = outputs(python, tmp_path) if python else None
+    for version in pyenv_versions(name) if python and got is None else ():
+        got = outputs(python, tmp_path, PYENV_VERSION=version)
+        if got is not None:
+            break
     if got is None:
         pytest.skip(f"{name} is not on PATH or does not start")
     assert got == reference
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "mdl", "*.py"))),
+                         ids=os.path.basename)
+def test_sources_parse_under_python_310_grammar(path):
+    with open(path, encoding="utf-8") as fh:
+        ast.parse(fh.read(), filename=path, feature_version=(3, 10))
