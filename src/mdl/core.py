@@ -417,8 +417,9 @@ class DirectSumMatroid(Matroid):
 class ParallelExtensionMatroid(Matroid):
     """Base matroid plus fresh elements, each parallel to an existing one.
 
-    Used by the stack projection procedure to make a contraction set
-    disjoint from a stack before recursing.  Not part of the file format.
+    Public as `mdl.parallel_extension`, and the test corpora's only
+    non-linear parallel class; `stacks` no longer needs it, as a
+    contraction set may meet the stack.  Not part of the file format.
     """
 
     kind = "parallel_extension"

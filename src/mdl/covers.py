@@ -260,11 +260,7 @@ def tau(m: Matroid, a: int) -> CoverResult:
     if a >= r:
         return CoverResult(1, Cover((m.ground,)))
     cands = m.flats_of_rank(a)
-    if len(cands) > CANDIDATE_CAP:
-        raise CapExceeded(f"tau: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
-    universe = m.representatives()
-    value, sel = _min_cover(universe, cands, [1] * len(cands))
-    return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel))))
+    return _exact_cover("tau", m.representatives(), cands, [1] * len(cands))
 
 
 def tau_weighted(m: Matroid, d: int) -> CoverResult:
@@ -299,9 +295,13 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
                 continue
             cands.append(f)
             weights.append(w)
+    return _exact_cover("tau_weighted", universe, cands, weights)
+
+
+def _exact_cover(who: str, universe: int, cands: list[int], weights: list[int]) -> CoverResult:
+    """Exact cover of universe by cands, capped at CANDIDATE_CAP; who names the caller."""
     if len(cands) > CANDIDATE_CAP:
-        raise CapExceeded(
-            f"tau_weighted: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
+        raise CapExceeded(f"{who}: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
     value, sel = _min_cover(universe, cands, weights)
     return CoverResult(value, Cover(tuple(sorted(cands[i] for i in sel))))
 

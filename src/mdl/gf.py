@@ -257,6 +257,7 @@ def echelon(f: FiniteField, vecs, mask: int) -> list:
     the reduced vector scaled to a_lead = 1, zero at every earlier
     pivot's lead.
     """
+    # reduction inline, not via _residuals: that was 13-30% slower over GF(2), 10-18% over GF(q)
     pivots: list = []
     if f.q == 2:
         while mask:
@@ -306,20 +307,15 @@ def classes(f: FiniteField, pivots: list, vecs, mask: int) -> list[int]:
     """Group the elements of mask by the span of pivots plus their vector.
 
     No vecs[e] of mask may lie in the span of pivots.  Two elements share
-    a group exactly when their residuals (`_residuals`) are multiples of
-    each other, so a residual scaled to a leading 1 names its group.
+    a group exactly when their residuals (`_residuals`) span one point,
+    whose `point_index` keys the group (over GF(2), the residual itself).
     The groups come as masks, in the order of their least elements.
     """
     groups: dict = {}
-    binary, mul_t, inv_t = f.q == 2, f.mul_table, f.inv_table
+    binary = f.q == 2
     for low, w in _residuals(f, pivots, vecs, mask):
-        if not binary:
-            for c in w:
-                if c:
-                    break
-            row = mul_t[inv_t[c]]
-            w = tuple([row[x] for x in w])
-        groups[w] = groups.get(w, 0) | low
+        key = w if binary else point_index(f, w)
+        groups[key] = groups.get(key, 0) | low
     return list(groups.values())
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import rep
-from .bits import indices_of, mask_of, union
-from .core import Matroid, parallel_extension
+from .bits import indices_of, union
+from .core import Matroid
 from .errors import CapExceeded, InputError, PremiseError, cap_override
 
 if TYPE_CHECKING:
@@ -140,8 +140,9 @@ def project_stack(m: Matroid, cert: StackCert, c: int, k: int) -> StackCert:
     Recursion from the robustness proof: if C is skew to the first k
     layers they survive verbatim; otherwise contract those layers, which
     strictly drops r(C), recurse, and fold the contracted layers into the
-    first returned one.  When C meets E(S), work in a parallel extension
-    so the two are disjoint, then strip C from the result.
+    first returned one.  C may meet E(S): below a contracted step F the
+    recursion carries C - F, and r_{M/F}(C - F) = r(C u F) - r(F) is the
+    rank a parallel copy of C would have.  C is stripped from the result.
     """
     check = verify_stack(m, cert)
     if not check.ok:
@@ -150,32 +151,19 @@ def project_stack(m: Matroid, cert: StackCert, c: int, k: int) -> StackCert:
     if cert.height < k * (rc + 1):
         raise PremiseError(
             f"need at least k(r(C)+1) = {k * (rc + 1)} layers, have {cert.height}")
-    layers = cert.union()
-    overlap = c & layers
-    if overlap:
-        originals = indices_of(overlap)
-        pe = parallel_extension(m, originals)
-        c_work = (c & ~layers) | mask_of(pe.copy_index(i) for i in range(len(originals)))
-        host: Matroid = pe
-    else:
-        c_work = c
-        host = m
 
     def recurse(cur: Matroid, parts: tuple[int, ...], cset: int) -> tuple[int, ...]:
-        if cur.rank(cset) == 0:
-            return parts[:k]
         first = union(parts[:k])
         if cur.local_conn(cset, first) == 0:
             return parts[:k]
-        nxt = cur.contract(first)
-        if nxt.rank(cset) >= cur.rank(cset):
+        nxt, rest = cur.contract(first), cset & ~first
+        if nxt.rank(rest) >= cur.rank(cset):
             raise RuntimeError("projection recursion failed to reduce r(C)")
-        sub = recurse(nxt, parts[k:], cset)
+        sub = recurse(nxt, parts[k:], rest)
         return (first | sub[0],) + tuple(sub[1:])
 
-    parts = recurse(host, cert.parts, c_work)
-    stripped = tuple(p & ~c for p in parts)
-    return certify(m.contract(c), stripped, cert.q)
+    parts = tuple(p & ~c for p in recurse(m, cert.parts, c))
+    return certify(m.contract(c), parts, cert.q)
 
 
 def skew_stack(m: Matroid, cert: StackCert, x: int, a: int) -> tuple[int, StackCert]:
