@@ -165,6 +165,15 @@ def test_project_stack_overlapping_c():
     assert not out.union() & c
 
 
+def test_project_stack_overlapping_c_on_a_full_ground():
+    # 128 elements, the MAX_GROUND cap: a copy of C's stack element would
+    # need a 129th, so the projection must work on M itself
+    m, parts = blocks_with_extras(32, [])
+    assert m.size() == core.MAX_GROUND
+    out = stacks.project_stack(m, stacks.StackCert(parts, 2, 2), 0b1, 1)
+    assert out.parts == ((parts[0] | parts[1]) & ~0b1,)  # layer 0 folded into layer 1
+
+
 def test_project_stack_premise_errors():
     m, parts = blocks_with_extras(2, [[0]])
     cert = stacks.StackCert(parts, 2, 2)
