@@ -36,9 +36,11 @@ class Matroid:
 
     Three hooks: subclasses implement ``_rank_impl`` on subsets of
     ``ground``, and may override ``_spanned`` (the part of cl(x) inside
-    a mask, all that ``closure`` asks) and ``_classes`` (the step
-    ``flats_of_rank`` takes from a flat to the flats covering it) with
-    something faster than their scans of rank queries.
+    a mask, all that ``closure`` asks) and ``_classes`` (the part of
+    cl(x) inside a mask, then the rest of the mask grouped by the flats
+    covering cl(x): the step ``flats_of_rank`` takes, and at x = 0 its
+    loops and points at once) with something faster than their scans of
+    rank queries.
     """
 
     kind = "abstract"
@@ -99,12 +101,15 @@ class Matroid:
         return out
 
     def _classes(self, x: int, mask: int) -> list[int]:
-        """Group the elements e of mask, none in cl(x), by cl(x + e).
+        """[mask & cl(x), then the other elements e of mask grouped by cl(x + e)].
 
-        The groups come as masks, in the order of their least elements.
-        This default takes one closure per group.
+        The first mask may be 0; the groups after it come in the order
+        of their least elements.  This default takes `_spanned`, then
+        one closure per group.
         """
-        out = []
+        first = mask & x | self._spanned(x, mask)
+        out = [first]
+        mask &= ~first
         while mask:
             g = self.closure(x | (mask & -mask)) & mask
             out.append(g)
@@ -129,10 +134,15 @@ class Matroid:
         and those classes partition E - f.  So a covering flat g already
         found from an earlier parent is the whole class g - f, and only
         the rest of E - f goes to ``_classes`` (nothing, if that rest is
-        empty).  Each rank-k flat is thus reduced from exactly one
+        empty), whose first group, the part of the rest in cl(f), is
+        empty.  Each rank-k flat is thus reduced from exactly one
         parent, the least of its hyperplanes, and found once.  Found
         flats are indexed by element and looked up by f's least element
         outside cl(∅), so a lookup scans only flats through that element.
+
+        Levels 0 and 1 come from one ``_classes(0, E)``: its first group
+        is cl(∅), and each other one, joined to cl(∅), is a point.  A
+        rank-0 matroid has the one flat E, found without it.
 
         Raises CapExceeded as soon as a level grows past MAX_FLATS; a
         level cut off that way is never stored.
@@ -140,7 +150,11 @@ class Matroid:
         if k < 0 or k > self.rank():
             return []
         if self._flat_levels is None:
-            self._flat_levels = [[self.closure(0)]]
+            if self.rank() == 0:
+                self._flat_levels = [[self.ground]]
+            else:
+                loops, *points = self._classes(0, self.ground)
+                self._flat_levels = [[loops], sorted(loops | p for p in points)]
         levels = self._flat_levels
         loops = levels[0][0]
         while len(levels) <= k:
@@ -152,13 +166,13 @@ class Matroid:
             through: dict[int, list[int]] = {}  # element bit -> found flats on it
             for f in levels[-1]:
                 rest = self.ground & ~f
-                key = f & ~loops  # 0 at level 1, where nothing is found yet
+                key = f & ~loops
                 for g in through.get(key & -key, ()):
                     if g & f == f:
                         rest &= ~g
                 if not rest:
                     continue
-                for c in self._classes(f, rest):
+                for c in self._classes(f, rest)[1:]:
                     g = f | c
                     nxt.append(g)
                     on = g & ~loops
@@ -407,11 +421,13 @@ class DirectSumMatroid(Matroid):
     def _classes(self, x: int, mask: int) -> list[int]:
         # parts occupy ascending blocks and keep their elements' order,
         # so part by part their groups stay in order of least elements
-        out = []
+        spanned, out = 0, []
         for i, (part, xl, ml) in enumerate(zip(self.parts, self._split(x), self._split(mask))):
             if ml:
-                out.extend(self._lift(i, g) for g in part._classes(xl, ml))
-        return out
+                first, *groups = part._classes(xl, ml)
+                spanned |= self._lift(i, first)
+                out.extend(self._lift(i, g) for g in groups)
+        return [spanned, *out]
 
 
 class ParallelExtensionMatroid(Matroid):

@@ -244,7 +244,12 @@ def tau(m: Matroid, a: int) -> CoverResult:
     Convention: the empty matroid has tau = 0; a = 0 with a nonloop
     present yields the +inf sentinel rather than an error.
 
-    The search always finds a cover: for 1 <= a < r every representative
+    At a = 1 a cover is a set of points, so tau_1 = epsilon and the
+    points are the certificate, with no search.  The search would find
+    the same: each representative lies in exactly one point, so its
+    greedy pass takes every point, ascending, and meets rule 1's bound.
+
+    For 1 < a < r the search always finds a cover: every representative
     point lies in its own rank-1 flat, and every rank-1 flat lies in a
     rank-a flat, which is a candidate.
     """
@@ -259,6 +264,9 @@ def tau(m: Matroid, a: int) -> CoverResult:
     r = m.rank()
     if a >= r:
         return CoverResult(1, Cover((m.ground,)))
+    if a == 1:
+        pts = m.flats_of_rank(1)
+        return CoverResult(len(pts), Cover(tuple(pts)))
     cands = m.flats_of_rank(a)
     return _exact_cover("tau", m.representatives(), cands, [1] * len(cands))
 

@@ -21,10 +21,11 @@ subfield.
 
 Gaussian elimination lives here and nowhere else: `vector` encodes a
 column, `echelon` reduces the columns of a subset to pivots, `spanned`
-tests further columns against them, and `classes` groups further
-columns by the span they add to the pivots; the last two share one
-reduction step, `_residuals`.  Linear matroid ranks, closures and
-flats and the representability search's span checks all use them.
+tests further columns against them, and `classes` splits further
+columns into those in the pivots' span and groups of the others by the
+span they add; the last two share one reduction step, `_residuals`.
+Linear matroid ranks, closures and flats and the representability
+search's span checks all use them.
 
 `point_index` and `point_vector` are the one numbering of the points of
 PG(r-1, q); `normalized_vectors` lists the points in that order.
@@ -304,15 +305,18 @@ def spanned(f: FiniteField, pivots: list, vecs, mask: int) -> int:
 
 
 def classes(f: FiniteField, pivots: list, vecs, mask: int) -> list[int]:
-    """Group the elements of mask by the span of pivots plus their vector.
+    """The elements of mask in the span of pivots, then the others grouped
+    by the span of pivots plus their vector.
 
-    No vecs[e] of mask may lie in the span of pivots.  Two elements share
-    a group exactly when their residuals (`_residuals`) span one point,
-    whose `point_index` keys the group (over GF(2), the residual itself).
-    The groups come as masks, in the order of their least elements.
+    An element is in the span exactly when its residual (`_residuals`)
+    is zero; two others share a group exactly when their residuals span
+    one point, whose `point_index` keys the group (over GF(2), the
+    residual itself).  The zero residual's key, 0 over GF(2) and -1 over
+    GF(q), is seeded first, so the spanned mask comes first, maybe 0,
+    and the groups follow in the order of their least elements.
     """
-    groups: dict = {}
     binary = f.q == 2
+    groups: dict = {0 if binary else -1: 0}
     for low, w in _residuals(f, pivots, vecs, mask):
         key = w if binary else point_index(f, w)
         groups[key] = groups.get(key, 0) | low
@@ -326,7 +330,8 @@ def rank_of_vectors(f: FiniteField, vectors: Iterable[Sequence[int]]) -> int:
 
 
 def point_index(f: FiniteField, w) -> int:
-    """The index of the point of PG(r-1, q) through the nonzero vector w.
+    """The index of the point of PG(r-1, q) through the vector w; -1 when
+    w is zero, as it spans no point.
 
     Points are numbered in lex order of their vectors scaled to leading
     coordinate 1.  The index is the tail after that 1 read as a numeral
@@ -335,6 +340,8 @@ def point_index(f: FiniteField, w) -> int:
     for i, a in enumerate(w):
         if a:
             break
+    else:
+        return -1
     row, q, x = f.mul_table[f.inv_table[a]], f.q, 0
     for c in w[i + 1:]:
         x = x * q + row[c] + 1

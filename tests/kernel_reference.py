@@ -1,4 +1,5 @@
-"""Kernels as they were before they read what they already held: the
+"""Kernels as they were before they read what they already held: `tau`
+running the exact cover search on the points at a = 1, the
 cover branch and bound building its branch tables before rule 1, the
 Theorem 4 base case taking one closure per a-subset of X, the uniform
 restriction scanning every element, the representability re-check
@@ -18,11 +19,36 @@ from typing import Iterable, Sequence
 from mdl import gf
 from mdl.bits import bits, indices_of, ksubsets, mask_of, union
 from mdl.core import Matroid, parallel_extension
-from mdl.covers import (COVER_NODE_CAP, INF, Cover, _bound_scale, _fractional_bound,
-                        is_d_thick)
+from mdl.covers import (COVER_NODE_CAP, INF, Cover, CoverResult, _bound_scale, _exact_cover,
+                        _fractional_bound, is_d_thick)
 from mdl.errors import CapExceeded, InputError, PremiseError, UniformMinorDetected
 from mdl.gf import FiniteField
 from mdl.stacks import StackCert, certify, verify_stack
+
+
+def tau(m: Matroid, a: int) -> CoverResult:
+    """Exact a-covering number with an optimal cover certificate.
+
+    Convention: the empty matroid has tau = 0; a = 0 with a nonloop
+    present yields the +inf sentinel rather than an error.
+
+    The search always finds a cover: for 1 <= a < r every representative
+    point lies in its own rank-1 flat, and every rank-1 flat lies in a
+    rank-a flat, which is a candidate.
+    """
+    if m.ground == 0:
+        return CoverResult(0, Cover(()))
+    if a < 0:
+        return CoverResult(INF, None)
+    if a == 0:
+        if m.ground & ~m.loops():
+            return CoverResult(INF, None)
+        return CoverResult(1, Cover((m.ground,)))
+    r = m.rank()
+    if a >= r:
+        return CoverResult(1, Cover((m.ground,)))
+    cands = m.flats_of_rank(a)
+    return _exact_cover("tau", m.representatives(), cands, [1] * len(cands))
 
 
 def _min_cover(universe: int, cands: list[int], weights: list[int]):

@@ -4,9 +4,11 @@
 The commands take the shapes of the benchmark's job lists: the cover
 and geometry jobs on catalog inputs written in coordinates drawn from
 seeds 3 and 4 (rows permuted, rows and columns scaled by nonzero
-field elements, so the labelled matroid is the catalog's), and the
-twelve `mdl verify` suites at 30 trials with seeds 0 and 1.  Each runs
-through `cli.main` in text and with --json.
+field elements, so the labelled matroid is the catalog's), `tau --a 1`
+on the geometry inputs, on cover input `a` and on an input with loops
+and parallel classes, and the twelve `mdl verify` suites at 30 trials
+with seeds 0 and 1.  Each runs through `cli.main` in text and with
+--json.
 
 A change that leaves every output alone passes unedited.  A change
 that alters an output on purpose updates DIGESTS in the same change;
@@ -52,7 +54,10 @@ COVER_INPUTS = {
     "m": ("linear_random", (4, 18, 4), 5),
     "n": ("linear_random", (4, 20, 4), 0),
     "o": ("linear_random", (4, 20, 4), 5),
+    "loops": ("linear_random", (3, 16, 3), 0),  # 16 columns on 13 points
 }
+# an input's zero columns (loops), at these positions of its columns
+ZERO_COLUMNS = {"loops": (3, 11)}
 GEOMETRY_INPUTS = {
     "pg42": ("pg", (4, 2), 0),
     "pg33": ("pg", (3, 3), 0),
@@ -79,6 +84,8 @@ def job_argvs(seed: int) -> list[list[str]]:
         out.append(["stack", "find", g + name + ".mtd", "--q", str(q), "--h", str(h),
                     "--t", str(t)])
     out += [["round", g + name + ".mtd"] for name in ("pg42", "pg33", "pg34", "pg35")]
+    out += [["tau", g + name + ".mtd", "--a", "1"] for name in GEOMETRY_INPUTS]
+    out += [["tau", c + name + ".mtd", "--a", "1"] for name in ("a", "loops")]
     return out
 
 
@@ -89,8 +96,10 @@ def argvs() -> list[list[str]]:
     return [argv + tail for argv in plain for tail in ([], ["--json"])]
 
 
-def write_input(path: str, family: str, params, gen_seed: int, rng: random.Random) -> None:
-    """A catalog matroid written in coordinates drawn from rng."""
+def write_input(path: str, family: str, params, gen_seed: int, rng: random.Random,
+                zeros=()) -> None:
+    """A catalog matroid written in coordinates drawn from rng, with zero
+    columns inserted at the positions in zeros."""
     m = catalog.gen(family, params, seed=gen_seed)
     f, rows = m.field, m.matrix.rows
     mul = f.mul_table
@@ -100,6 +109,8 @@ def write_input(path: str, family: str, params, gen_seed: int, rng: random.Rando
     for col in m.matrix.columns():
         s = mul[rng.randrange(1, f.q)]
         cols.append(tuple(s[mul[r][col[p]]] for p, r in zip(perm, row_scale)))
+    for i in zeros:
+        cols.insert(i, (0,) * rows)
     lin = LinearMatroid(gf.Matrix.from_columns(f, cols, rows))
     catalog.write_matroid(lin, path, name=family, header=f"{family} {list(params)} #{gen_seed}")
 
@@ -111,7 +122,7 @@ def write_inputs(root: str) -> None:
             rng = random.Random(f"{kind}:{seed}")
             for name, (family, params, gen_seed) in table.items():
                 write_input(os.path.join(root, f"{kind}{seed}", name + ".mtd"),
-                            family, params, gen_seed, rng)
+                            family, params, gen_seed, rng, ZERO_COLUMNS.get(name, ()))
 
 
 def digest(argv: list[str]) -> str:
@@ -271,6 +282,34 @@ DIGESTS: dict[str, str] = {
         "3015635b8fb2e948d090c90fdfa6a82bdb997bf17d7b3f136aebe8839ea167d2",
     "round geometry3/pg35.mtd --json":
         "cab43d7d32f2f29a4578ec32f5b7ff15abe0becfde54499321c11bd81636e829",
+    "tau geometry3/pg42.mtd --a 1":
+        "3d7a4b0a8c80cff4ac32d5d2725cdfecf6c6a9df4c2fde0f33326a03ff811937",
+    "tau geometry3/pg42.mtd --a 1 --json":
+        "cabfac40a5d4104e3523f6a36cb4df9713c0886dcbceb9cc7f974da7e486a0e7",
+    "tau geometry3/pg33.mtd --a 1":
+        "52d46e22216437cbe49a4a6215b35472f4b5bb7a9d1c11d884308b84a713b5b5",
+    "tau geometry3/pg33.mtd --a 1 --json":
+        "6564e7bd3262da5832882eaea70ba81bc6957d787bd64eee14167a7402cce8e8",
+    "tau geometry3/pg34.mtd --a 1":
+        "59c947cbf3835333d71ebb3055c1fc6a3eaa4faf1f3fb182defe79f0bbb1b3c3",
+    "tau geometry3/pg34.mtd --a 1 --json":
+        "ce492fc3579739cfe939ca01fc2ea808dbeb5328b8e8eb4b346d378072cabdc9",
+    "tau geometry3/pg35.mtd --a 1":
+        "a94ada2f1094eae6216ac3298a8e3b5782f93679727d5eec8a57d5697737304d",
+    "tau geometry3/pg35.mtd --a 1 --json":
+        "a8b2ee84701d80092c3c39af8bbc9b47302da1c3e30936049da7376f3a99e6c6",
+    "tau geometry3/pg43.mtd --a 1":
+        "392de021494ee2dc8ae63f7cfb9e80261d2fd5e8ab5cb76378e3ff18a172d6df",
+    "tau geometry3/pg43.mtd --a 1 --json":
+        "07cd32f0cd39edecf9f15e346f8ab5e713d2b97c8867b81e79ae81e73469946d",
+    "tau cover3/a.mtd --a 1":
+        "296b08f2367d5b169e17e1365db46ac8806a6765b57179f8473d5663321ceb83",
+    "tau cover3/a.mtd --a 1 --json":
+        "bf9ba05491421c33ded20549c76d9f0b301988b8432d86c1b3035e899b7b99d6",
+    "tau cover3/loops.mtd --a 1":
+        "c170ef3032872e19222c3243670ad483893168fa38b89b7d665e30c3a0feba78",
+    "tau cover3/loops.mtd --a 1 --json":
+        "79554cbf5b4f20214ebc3f267a8511c659d636d291b8e094a5abf358eb604dfd",
     "tau cover4/pg42.mtd --a 2":
         "33463a97e3dc19b269c989a0134859d3a3c2192e21491018b2c0a0e5c9658c74",
     "tau cover4/pg42.mtd --a 2 --json":
@@ -419,6 +458,34 @@ DIGESTS: dict[str, str] = {
         "3015635b8fb2e948d090c90fdfa6a82bdb997bf17d7b3f136aebe8839ea167d2",
     "round geometry4/pg35.mtd --json":
         "cab43d7d32f2f29a4578ec32f5b7ff15abe0becfde54499321c11bd81636e829",
+    "tau geometry4/pg42.mtd --a 1":
+        "3d7a4b0a8c80cff4ac32d5d2725cdfecf6c6a9df4c2fde0f33326a03ff811937",
+    "tau geometry4/pg42.mtd --a 1 --json":
+        "cabfac40a5d4104e3523f6a36cb4df9713c0886dcbceb9cc7f974da7e486a0e7",
+    "tau geometry4/pg33.mtd --a 1":
+        "52d46e22216437cbe49a4a6215b35472f4b5bb7a9d1c11d884308b84a713b5b5",
+    "tau geometry4/pg33.mtd --a 1 --json":
+        "6564e7bd3262da5832882eaea70ba81bc6957d787bd64eee14167a7402cce8e8",
+    "tau geometry4/pg34.mtd --a 1":
+        "59c947cbf3835333d71ebb3055c1fc6a3eaa4faf1f3fb182defe79f0bbb1b3c3",
+    "tau geometry4/pg34.mtd --a 1 --json":
+        "ce492fc3579739cfe939ca01fc2ea808dbeb5328b8e8eb4b346d378072cabdc9",
+    "tau geometry4/pg35.mtd --a 1":
+        "a94ada2f1094eae6216ac3298a8e3b5782f93679727d5eec8a57d5697737304d",
+    "tau geometry4/pg35.mtd --a 1 --json":
+        "a8b2ee84701d80092c3c39af8bbc9b47302da1c3e30936049da7376f3a99e6c6",
+    "tau geometry4/pg43.mtd --a 1":
+        "392de021494ee2dc8ae63f7cfb9e80261d2fd5e8ab5cb76378e3ff18a172d6df",
+    "tau geometry4/pg43.mtd --a 1 --json":
+        "07cd32f0cd39edecf9f15e346f8ab5e713d2b97c8867b81e79ae81e73469946d",
+    "tau cover4/a.mtd --a 1":
+        "296b08f2367d5b169e17e1365db46ac8806a6765b57179f8473d5663321ceb83",
+    "tau cover4/a.mtd --a 1 --json":
+        "bf9ba05491421c33ded20549c76d9f0b301988b8432d86c1b3035e899b7b99d6",
+    "tau cover4/loops.mtd --a 1":
+        "c170ef3032872e19222c3243670ad483893168fa38b89b7d665e30c3a0feba78",
+    "tau cover4/loops.mtd --a 1 --json":
+        "79554cbf5b4f20214ebc3f267a8511c659d636d291b8e094a5abf358eb604dfd",
     "verify cor5 --trials 30 --seed 0":
         "b0d88e975382f2ff474bc9cfc56315daa145368efaa8d860e8d0b5ce70c457a8",
     "verify cor5 --trials 30 --seed 0 --json":

@@ -668,22 +668,24 @@ def counting_kernels(monkeypatch):
 def test_kdensity_cover_kernel_counts(monkeypatch):
     """The base case reads the rank-a flats instead of closing every
     a-subset of X, and X is grown over the representatives only, with no
-    rank query at a = 1 (the closure-per-subset base case made 74
-    closures and 356 eliminations, and X grown by rank queries 166
-    eliminations)."""
+    rank query at a = 1, and each level 1 comes with cl(∅) from one
+    `_classes` pass (the closure-per-subset base case made 74 closures
+    and 356 eliminations, X grown by rank queries 166 eliminations, and
+    cl(∅) closed before the points 20 closures and 59 eliminations)."""
     m = catalog.gen("pg", (4, 3))
     counts = counting_kernels(monkeypatch)
     cov = covers.kdensity_cover(m, 1, 5)
     assert len(cov.sets) == 40
-    assert counts == {"closures": 20, "eliminations": 59}
+    assert counts == {"closures": 2, "eliminations": 41}
 
 
 def test_thm4_suite_kernel_counts(monkeypatch):
     """The same for the thm4 suite's tau and kdensity_cover checks (the
     closure-per-subset base case made 2,370 closures and 6,251
     eliminations, X grown by rank queries at a = 1 4,917 eliminations,
-    and a loop mask built by every tau call, 125 here, 1,214 closures
-    and 3,826 eliminations)."""
+    a loop mask built by every tau call, 125 here, 1,214 closures and
+    3,826 eliminations, and cl(∅) closed before the points with tau_1
+    searched 1,089 closures and 3,701 eliminations)."""
     counts = counting_kernels(monkeypatch)
     assert harness.run_suite("thm4", 125, 0).passed
-    assert counts == {"closures": 1089, "eliminations": 3701}
+    assert counts == {"closures": 172, "eliminations": 2784}

@@ -197,6 +197,12 @@ def grouped_by_closure(m, x, mask):
     return list(groups.values())
 
 
+def classes_by_closure(m, x, mask):
+    """mask & m.closure(x), then the rest of mask grouped_by_closure."""
+    cl = m.closure(x)
+    return [mask & cl, *grouped_by_closure(m, x, mask & ~cl)]
+
+
 @pytest.mark.parametrize("q", QS)
 def test_classes_match_closure_grouping(q):
     rng = random.Random(4096 + q)
@@ -207,10 +213,36 @@ def test_classes_match_closure_grouping(q):
         for _ in range(30):
             x = rng.getrandbits(lin.n) & rng.getrandbits(lin.n)
             outside = lin.ground & ~ref.closure(x)
-            for mask in (outside, outside & rng.getrandbits(lin.n)):
-                expected = grouped_by_closure(ref, x, mask)
+            part = rng.getrandbits(lin.n)
+            for mask in (outside, outside & part, lin.ground, lin.ground & part):
+                expected = classes_by_closure(ref, x, mask)
                 assert gf.classes(f, gf.echelon(f, vecs, x), vecs, mask) == expected
                 assert lin._classes(x, mask) == expected
+
+
+def test_classes_contract_on_every_kind():
+    """For each kind of matroid and its minors, `_classes(x, mask)` with
+    mask meeting cl(x) is mask & cl(x), then the rest of mask grouped by
+    closure in order of least elements; a mask missing cl(x) gets 0
+    first."""
+    rng = random.Random(2727)
+    fano = catalog.gen("pg", (3, 2))
+    kinds = [corpus(3)[0], corpus(2)[3], UniformMatroid(3, 7), UniformMatroid(0, 4),
+             direct_sum([UniformMatroid(2, 4), fano, corpus(5)[1]]),
+             parallel_extension(fano, [0, 3, 3]), parallel_extension(corpus(4)[2], [1, 1])]
+    checked = {"meets": 0, "misses": 0}
+    for m in kinds:
+        for mm in [m] + [minor(m) for minor in nested_minors(m, rng)]:
+            for _ in range(20):
+                x = rng.getrandbits(m.n) & rng.getrandbits(m.n) & mm.ground
+                cl = mm.closure(x)
+                for mask in (mm.ground, rng.getrandbits(m.n) & mm.ground | cl & -cl,
+                             mm.ground & ~cl):
+                    got = mm._classes(x, mask)
+                    assert got[0] == mask & cl, (mm, x, mask)
+                    assert got == classes_by_closure(mm, x, mask), (mm, x, mask)
+                    checked["meets" if mask & cl else "misses"] += 1
+    assert checked["meets"] > 300 and checked["misses"] > 300
 
 
 def gaussian_binomial(n, k, q):
@@ -293,8 +325,8 @@ def check_direct_sum(m, ref, rng):
         assert m.closure(x) == cl
         assert m._spanned(x, mask) == ref._spanned(x, mask)
         outside = m.ground & ~cl
-        for sub in (outside, outside & mask):
-            assert m._classes(x, sub) == ref._classes(x, sub) == grouped_by_closure(ref, x, sub)
+        for sub in (outside, outside & mask, mask, m.ground):
+            assert m._classes(x, sub) == ref._classes(x, sub) == classes_by_closure(ref, x, sub)
     for k in range(m.rank() + 2):
         assert m.flats_of_rank(k) == ref.flats_of_rank(k), k
 
@@ -310,9 +342,10 @@ def test_direct_sum_matches_rank_reference(q):
             check_direct_sum(minor(m), minor(ref), rng)
 
 
-def test_direct_sum_flats_take_one_closure(monkeypatch):
-    """flats_of_rank of a direct sum closes only the empty set: every flat
-    step goes to the parts' `_classes`."""
+def test_direct_sum_flats_take_no_closure(monkeypatch):
+    """flats_of_rank of a direct sum takes no closure: cl(∅), the points
+    and every later flat step come from the parts' `_classes` (it used to
+    close the empty set once)."""
     calls = []
     closure = DirectSumMatroid.closure
     monkeypatch.setattr(DirectSumMatroid, "closure", lambda self, x: calls.append(x) or closure(self, x))
@@ -321,7 +354,37 @@ def test_direct_sum_flats_take_one_closure(monkeypatch):
             calls.clear()
             for k in range(m.rank() + 1):
                 m.flats_of_rank(k)
-            assert calls == [0]
+            assert calls == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_minor_bottom_levels_take_one_elimination(q, monkeypatch):
+    """Levels 0 and 1 of a contraction of a linear matroid take one
+    `gf.echelon` call, of the contracted set, and no closure (they took
+    two eliminations and one closure: cl(∅), then the points)."""
+    counts = {"closures": 0, "eliminations": 0}
+    closure, echelon = Matroid.closure, gf.echelon
+
+    def counted_closure(self, x):
+        counts["closures"] += 1
+        return closure(self, x)
+
+    def counted_echelon(*args):
+        counts["eliminations"] += 1
+        return echelon(*args)
+
+    rng = random.Random(31 + q)
+    for lin in corpus(q):
+        live = list(bits(lin.ground))
+        m = lin.contract(mask_of(rng.sample(live, 2)))
+        m.rank()
+        monkeypatch.setattr(Matroid, "closure", counted_closure)
+        monkeypatch.setattr(gf, "echelon", counted_echelon)
+        levels = [m.flats_of_rank(0), m.flats_of_rank(1)]
+        monkeypatch.undo()
+        assert counts == {"closures": 0, "eliminations": 1 if m.rank() else 0}, lin
+        counts.update(closures=0, eliminations=0)
+        assert levels == (levels_by_extension(m) + [[]])[:2]
 
 
 def check_levels_by_extension(m):

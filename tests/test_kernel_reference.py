@@ -10,9 +10,10 @@ from collections import Counter
 import pytest
 
 import kernel_reference as ref
+from test_echelon import with_loop_and_parallel
 from mdl import catalog, covers, gf, rep, stacks
-from mdl.bits import mask_of
-from mdl.core import UniformMatroid, direct_sum, parallel_extension
+from mdl.bits import bits, mask_of
+from mdl.core import LinearMatroid, UniformMatroid, direct_sum, parallel_extension
 from mdl.errors import InputError
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -88,6 +89,50 @@ def test_thick_uniform_minor_matches_reference():
             assert outcome(covers.thick_uniform_minor, m, a, b, d) == want, (label, a, b, d)
             found += want[0] == "ok"
     assert found
+
+
+def tau1_corpus():
+    """Seeded matroids for tau at a = 1: linear_random over every field
+    in FIELDS with a loop and a parallel column, their contractions,
+    deletions and nested minors, uniform matroids, direct sums, parallel
+    extensions, and members of rank 0 and 1 and with an empty ground."""
+    rng = random.Random(27)
+    lin = []
+    for q in FIELDS:
+        for r, n in ((2, 5), (3, 7), (3, 10), (4, 9)):
+            m = with_loop_and_parallel(
+                catalog.gen("linear_random", (r, n, q), seed=rng.randrange(2 ** 32)), rng)
+            lin.append(m)
+            live = list(bits(m.ground))
+            c, d, e = (1 << x for x in rng.sample(live, 3))
+            yield m
+            yield m.contract(c)
+            yield m.delete(d)
+            yield m.contract(c).delete(d).contract(e)
+    fano = catalog.gen("fano")
+    for r, n in ((0, 0), (0, 3), (1, 1), (1, 4), (2, 5), (3, 6), (4, 4)):
+        yield UniformMatroid(r, n)
+    yield direct_sum([fano, UniformMatroid(2, 4), UniformMatroid(0, 2)])
+    yield direct_sum([lin[1], UniformMatroid(1, 3), lin[5].contract(1 << 2)])
+    yield parallel_extension(fano, [0, 0, 3])
+    yield parallel_extension(lin[2], [1, 4, 4]).contract(0b1)
+    yield LinearMatroid(gf.Matrix.from_columns(gf.field(3), [(0, 0)] * 3, 2))
+    yield LinearMatroid(gf.Matrix.from_columns(gf.field(5), [(1, 2), (0, 0), (2, 4), (3, 1)], 2))
+    yield fano.delete(fano.ground)
+    yield fano.contract(0b1011)
+
+
+def test_tau1_matches_search_reference():
+    """tau at a = 1 reads epsilon and the points; the search on the points
+    gives the same value and certificate."""
+    ranks = Counter()
+    for m in tau1_corpus():
+        want = ref.tau(m, 1)
+        assert covers.tau(m, 1) == want, m
+        assert want.value == (m.epsilon() if m.rank() > 1 else int(m.ground != 0))
+        ranks[min(m.rank(), 2)] += 1
+        ranks["empty"] += m.ground == 0
+    assert ranks[0] >= 3 and ranks[1] >= 3 and ranks[2] >= 90 and ranks["empty"] >= 2
 
 
 def cover_calls(monkeypatch):
