@@ -6,9 +6,10 @@ and geometry jobs on catalog inputs written in coordinates drawn from
 seeds 3 and 4 (rows permuted, rows and columns scaled by nonzero
 field elements, so the labelled matroid is the catalog's), `tau --a 1`
 on the geometry inputs, on cover input `a` and on an input with loops
-and parallel classes, and the twelve `mdl verify` suites at 30 trials
-with seeds 0 and 1.  Each runs through `cli.main` in text and with
---json.
+and parallel classes, `tauw --d 5` on cover inputs `a` and `j` (of
+ranks 5 and 4, where `tau_weighted` reads no level above rank 2), and
+the twelve `mdl verify` suites at 30 trials with seeds 0 and 1.  Each
+runs through `cli.main` in text and with --json.
 
 A change that leaves every output alone passes unedited.  A change
 that alters an output on purpose updates DIGESTS in the same change;
@@ -86,6 +87,7 @@ def job_argvs(seed: int) -> list[list[str]]:
     out += [["round", g + name + ".mtd"] for name in ("pg42", "pg33", "pg34", "pg35")]
     out += [["tau", g + name + ".mtd", "--a", "1"] for name in GEOMETRY_INPUTS]
     out += [["tau", c + name + ".mtd", "--a", "1"] for name in ("a", "loops")]
+    out += [["tauw", c + name + ".mtd", "--d", "5"] for name in ("a", "j")]
     return out
 
 
@@ -310,6 +312,14 @@ DIGESTS: dict[str, str] = {
         "c170ef3032872e19222c3243670ad483893168fa38b89b7d665e30c3a0feba78",
     "tau cover3/loops.mtd --a 1 --json":
         "79554cbf5b4f20214ebc3f267a8511c659d636d291b8e094a5abf358eb604dfd",
+    "tauw cover3/a.mtd --d 5":
+        "1645fc95e988aeb4560f8fb6ca3d559003148584b1c06a9d67cd8d616571ad93",
+    "tauw cover3/a.mtd --d 5 --json":
+        "9150d9ff0a92c04ee0daf7e85dd2292cabfbaaf7caaf5e04465d03f57a7d8af9",
+    "tauw cover3/j.mtd --d 5":
+        "dcfbc02a11297858f46b7c4cf02fb8366ac195cf1f9c2c41020c685029b47a3b",
+    "tauw cover3/j.mtd --d 5 --json":
+        "8a246a04d3c45a556285ae020d47ccb346d90e8cbec70f3b53eeaa1180a33a12",
     "tau cover4/pg42.mtd --a 2":
         "33463a97e3dc19b269c989a0134859d3a3c2192e21491018b2c0a0e5c9658c74",
     "tau cover4/pg42.mtd --a 2 --json":
@@ -486,6 +496,14 @@ DIGESTS: dict[str, str] = {
         "c170ef3032872e19222c3243670ad483893168fa38b89b7d665e30c3a0feba78",
     "tau cover4/loops.mtd --a 1 --json":
         "79554cbf5b4f20214ebc3f267a8511c659d636d291b8e094a5abf358eb604dfd",
+    "tauw cover4/a.mtd --d 5":
+        "1645fc95e988aeb4560f8fb6ca3d559003148584b1c06a9d67cd8d616571ad93",
+    "tauw cover4/a.mtd --d 5 --json":
+        "9150d9ff0a92c04ee0daf7e85dd2292cabfbaaf7caaf5e04465d03f57a7d8af9",
+    "tauw cover4/j.mtd --d 5":
+        "dcfbc02a11297858f46b7c4cf02fb8366ac195cf1f9c2c41020c685029b47a3b",
+    "tauw cover4/j.mtd --d 5 --json":
+        "8a246a04d3c45a556285ae020d47ccb346d90e8cbec70f3b53eeaa1180a33a12",
     "verify cor5 --trials 30 --seed 0":
         "b0d88e975382f2ff474bc9cfc56315daa145368efaa8d860e8d0b5ce70c457a8",
     "verify cor5 --trials 30 --seed 0 --json":
