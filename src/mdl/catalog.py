@@ -86,14 +86,23 @@ def _refuse(name: str, rank: int, columns: int) -> None:
 
 def _random_columns(rng: random.Random, count: int, rows: int, q: int) -> list[tuple[int, ...]]:
     """`count` nonzero GF(q) columns of length `rows`, each drawn from rng
-    entry by entry, top row first, and drawn again while it is zero."""
+    entry by entry, top row first, and drawn again while it is zero.
+
+    An entry is getrandbits(q.bit_length()), drawn again while >= q:
+    what rng.randrange(q) runs in CPython 3.10 to 3.13, less its checks."""
+    width, draw = q.bit_length(), rng.getrandbits
     columns = []
     for _ in range(count):
         while True:
-            col = tuple(rng.randrange(q) for _ in range(rows))
+            col = []
+            for _ in range(rows):
+                x = draw(width)
+                while x >= q:
+                    x = draw(width)
+                col.append(x)
             if any(col):
                 break
-        columns.append(col)
+        columns.append(tuple(col))
     return columns
 
 

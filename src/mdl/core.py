@@ -40,7 +40,8 @@ class Matroid:
     cl(x) inside a mask, then the rest of the mask grouped by the flats
     covering cl(x): the step ``flats_of_rank`` takes, and at x = 0 its
     loops and points at once) with something faster than their scans of
-    rank queries.
+    rank queries.  Uniform, linear and direct-sum kinds override both
+    hooks, and minors pass both to their base.
     """
 
     kind = "abstract"
@@ -117,6 +118,8 @@ class Matroid:
         return out
 
     def loops(self) -> int:
+        if self._flat_levels is not None:
+            return self._flat_levels[0][0]
         return self.closure(0)
 
     def nonloops(self) -> int:
@@ -288,6 +291,16 @@ class UniformMatroid(Matroid):
 
     def _spanned(self, x: int, mask: int) -> int:
         return mask & ~x if x.bit_count() >= self.r else 0
+
+    def _classes(self, x: int, mask: int) -> list[int]:
+        """By rule, as cl(x) is E when |x| >= r and x otherwise."""
+        k = x.bit_count()
+        if k >= self.r:
+            return [mask]
+        rest = mask & ~x
+        if k == self.r - 1:
+            return [mask & x, rest] if rest else [mask & x]
+        return [mask & x, *(1 << e for e in bits(rest))]
 
 
 class LinearMatroid(Matroid):

@@ -277,6 +277,13 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
     The search always finds a cover: every representative point lies in
     its own rank-1 flat, and no rank-1 flat is dropped from the
     candidates (only flats of rank 0, or of rank above 1, can be).
+
+    A rank-k flat holds at most eps - (r - k) of the eps points (a basis
+    of it extends to one of M by r - k points outside it), so once
+    d^k >= d * (eps - (r - k)) at a k > 1, the rule d^k >= d * p drops
+    the whole level, and for d >= 2 every higher one: the loop stops
+    there, with the same candidates.  At d = 1 that never holds, as
+    eps - (r - k) >= k > 1.
     """
     if d < 1:
         raise InputError("need d >= 1")
@@ -287,10 +294,13 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
     if universe == 0:
         # all loops: the single rank-0 set E(M)
         return CoverResult(1, Cover((m.ground,)))
+    eps = universe.bit_count()
     cands: list[int] = []
     weights: list[int] = []
     for k in range(0, r + 1):
         w = d ** k
+        if k > 1 and w >= d * (eps - (r - k)):
+            break
         for f in m.flats_of_rank(k):
             if f == 0:
                 continue

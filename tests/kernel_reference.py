@@ -1,19 +1,22 @@
 """Kernels as they were before they read what they already held: `tau`
-running the exact cover search on the points at a = 1, the
-cover branch and bound building its branch tables before rule 1, the
-Theorem 4 base case taking one closure per a-subset of X, the uniform
-restriction scanning every element, the representability re-check
-walking every level of the flat lattice, `gf.Matrix` checking and
-transposing entry by entry, and the stack projection making C disjoint
-from the stack in a parallel extension.  Kept as the reference that
-tests/test_kernel_reference.py compares `mdl.covers`, `mdl.rep`,
-`mdl.gf` and `mdl.stacks` with: the same values, covers, witnesses,
-verdicts, entries, parts and error text.  The copies are verbatim; recursive calls and
-`thick_uniform_minor` reach the copies here."""
+running the exact cover search on the points at a = 1, `tau_weighted`
+reading every level of the flat lattice, the cover branch and bound
+building its branch tables before rule 1, the Theorem 4 base case
+taking one closure per a-subset of X, the uniform restriction scanning
+every element, the representability re-check walking every level of
+the flat lattice, `gf.Matrix` checking and transposing entry by entry,
+the stack projection making C disjoint from the stack in a parallel
+extension, and `catalog._random_columns` drawing each entry with
+`randrange`.  Kept as the reference that tests/test_kernel_reference.py
+compares `mdl.covers`, `mdl.rep`, `mdl.gf`, `mdl.stacks` and
+`mdl.catalog` with: the same values, covers, witnesses, verdicts,
+entries, parts, columns and error text.  The copies are verbatim;
+recursive calls and `thick_uniform_minor` reach the copies here."""
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Iterable, Sequence
 
 from mdl import gf
@@ -180,6 +183,41 @@ def _min_cover(universe: int, cands: list[int], weights: list[int]):
 
     dfs(universe, 0, 0)
     return best_w, best_sel
+
+
+def tau_weighted(m: Matroid, d: int) -> CoverResult:
+    """Exact minimum d-weight of a cover, with a d-minimal certificate.
+
+    The search always finds a cover: every representative point lies in
+    its own rank-1 flat, and no rank-1 flat is dropped from the
+    candidates (only flats of rank 0, or of rank above 1, can be).
+    """
+    if d < 1:
+        raise InputError("need d >= 1")
+    if m.ground == 0:
+        return CoverResult(0, Cover(()))
+    r = m.rank()
+    universe = m.representatives()
+    if universe == 0:
+        # all loops: the single rank-0 set E(M)
+        return CoverResult(1, Cover((m.ground,)))
+    cands: list[int] = []
+    weights: list[int] = []
+    for k in range(0, r + 1):
+        w = d ** k
+        for f in m.flats_of_rank(k):
+            if f == 0:
+                continue
+            p = (f & universe).bit_count()
+            if p == 0:
+                continue
+            # a flat never cheaper than covering its points one by one
+            # can be dropped (points themselves are candidates)
+            if k > 1 and w >= d * p:
+                continue
+            cands.append(f)
+            weights.append(w)
+    return _exact_cover("tau_weighted", universe, cands, weights)
 
 
 def _max_uniform_restriction(m: Matroid, k: int, cap: int | None) -> int:
@@ -362,3 +400,16 @@ def project_stack(m: Matroid, cert: StackCert, c: int, k: int) -> StackCert:
     parts = recurse(host, cert.parts, c_work)
     stripped = tuple(p & ~c for p in parts)
     return certify(m.contract(c), stripped, cert.q)
+
+
+def _random_columns(rng: random.Random, count: int, rows: int, q: int) -> list[tuple[int, ...]]:
+    """`count` nonzero GF(q) columns of length `rows`, each drawn from rng
+    entry by entry, top row first, and drawn again while it is zero."""
+    columns = []
+    for _ in range(count):
+        while True:
+            col = tuple(rng.randrange(q) for _ in range(rows))
+            if any(col):
+                break
+        columns.append(col)
+    return columns

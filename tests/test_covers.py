@@ -178,6 +178,19 @@ def test_tau_weighted_upper_bound():
                 assert covers.tau_weighted(m, d).value <= d ** m.rank()
 
 
+def test_tau_weighted_reads_no_level_it_would_drop():
+    """In U(10, 20) at d = 2 every flat of rank 2 to 10 is dropped, and
+    levels 0 to 4 are the last ones read: the answer is the 20 points at
+    weight 2 each, where reading level 5 (15,504 flats) raised
+    CapExceeded."""
+    m = UniformMatroid(10, 20)
+    res = covers.tau_weighted(m, 2)
+    assert res.value == 40 and res.cover.sets == tuple(1 << e for e in range(20))
+    assert len(m._flat_levels) == 5
+    with pytest.raises(CapExceeded):
+        m.flats_of_rank(5)
+
+
 def test_deterministic_certificates():
     m = catalog.gen("pg", (4, 2))
     a = covers.tau(m, 2)
@@ -684,8 +697,10 @@ def test_thm4_suite_kernel_counts(monkeypatch):
     closure-per-subset base case made 2,370 closures and 6,251
     eliminations, X grown by rank queries at a = 1 4,917 eliminations,
     a loop mask built by every tau call, 125 here, 1,214 closures and
-    3,826 eliminations, and cl(∅) closed before the points with tau_1
-    searched 1,089 closures and 3,701 eliminations)."""
+    3,826 eliminations, cl(∅) closed before the points with tau_1
+    searched 1,089 closures and 3,701 eliminations, and flat steps on
+    uniform matroids by closure with `loops()` always closed 172
+    closures and 2,784 eliminations)."""
     counts = counting_kernels(monkeypatch)
     assert harness.run_suite("thm4", 125, 0).passed
-    assert counts == {"closures": 172, "eliminations": 2784}
+    assert counts == {"closures": 88, "eliminations": 2700}

@@ -17,9 +17,9 @@ import random
 import pytest
 
 from mdl import catalog, gf
-from mdl.bits import bits, mask_of
-from mdl.core import (DirectSumMatroid, LinearMatroid, Matroid, UniformMatroid, direct_sum,
-                      parallel_extension)
+from mdl.bits import bits, mask_of, submasks
+from mdl.core import (DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid, UniformMatroid,
+                      direct_sum, parallel_extension)
 
 QS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -228,7 +228,9 @@ def test_classes_contract_on_every_kind():
     rng = random.Random(2727)
     fano = catalog.gen("pg", (3, 2))
     kinds = [corpus(3)[0], corpus(2)[3], UniformMatroid(3, 7), UniformMatroid(0, 4),
+             UniformMatroid(1, 5), UniformMatroid(5, 8),
              direct_sum([UniformMatroid(2, 4), fano, corpus(5)[1]]),
+             direct_sum([UniformMatroid(3, 5), UniformMatroid(1, 3), UniformMatroid(2, 2)]),
              parallel_extension(fano, [0, 3, 3]), parallel_extension(corpus(4)[2], [1, 1])]
     checked = {"meets": 0, "misses": 0}
     for m in kinds:
@@ -416,5 +418,66 @@ def test_flat_levels_of_other_kinds_match_extension_reference():
     for m in (UniformMatroid(0, 3), UniformMatroid(1, 4), UniformMatroid(3, 6),
               UniformMatroid(4, 4), UniformMatroid(2, 5).delete(0b10),
               parallel_extension(fano, [0, 3, 3]),
-              parallel_extension(UniformMatroid(3, 5), [4, 0]).contract(0b10)):
+              parallel_extension(UniformMatroid(3, 5), [4, 0]).contract(0b10),
+              UniformMatroid(5, 8), UniformMatroid(2, 8).contract(0b1000),
+              UniformMatroid(4, 9).contract(0b11).delete(0b100).contract(0b100000),
+              direct_sum([UniformMatroid(3, 5), UniformMatroid(1, 3), UniformMatroid(0, 2)]),
+              direct_sum([UniformMatroid(2, 4), UniformMatroid(3, 4)]).contract(0b10001)):
         check_levels_by_extension(m)
+
+
+def uniform_kinds():
+    """U(r, n) for every r <= 5 and n <= 8, direct sums of three of
+    them on at most 9 elements, and nested minors of both."""
+    rng = random.Random(2828)
+    parts = [UniformMatroid(r, n) for n in range(9) for r in range(min(n, 5) + 1)]
+    small = [p for p in parts if p.n <= 3]
+    sums = [direct_sum(rng.sample(small, 3)) for _ in range(8)]
+    out = []
+    for m in parts + sums:
+        out.append(m)
+        if m.size() >= 5:
+            out += [minor(m) for minor in nested_minors(m, rng)]
+    return out
+
+
+def test_uniform_classes_match_rank_scan():
+    """`UniformMatroid._classes` by rule equals the rank-scan default
+    `Matroid._classes` for every x: on U(r, n) itself, inside direct
+    sums and through nested minors."""
+    rng = random.Random(2929)
+    checked = {"meets": 0, "misses": 0}
+    for m in uniform_kinds():
+        for x in submasks(m.ground):
+            part = rng.getrandbits(m.n) & m.ground
+            for mask in (m.ground, m.ground & ~x, part | x & -x, part & ~x):
+                assert m._classes(x, mask) == Matroid._classes(m, x, mask), (m, x, mask)
+                checked["meets" if mask & x else "misses"] += 1
+    assert checked["meets"] > 5000 and checked["misses"] > 5000
+
+
+def test_uniform_flats_take_no_closure_and_no_rank_query(monkeypatch):
+    """Every level of U(4, 9) and of a contraction of it comes from the
+    rule: no closure and no rank query once the rank is known."""
+    counts = {"closures": 0, "ranks": 0}
+    closure, rank, minor_rank = Matroid.closure, Matroid.rank, MinorMatroid.rank
+
+    def counted_closure(self, x):
+        counts["closures"] += 1
+        return closure(self, x)
+
+    def counted(real):
+        def counted_rank(self, x=None):
+            counts["ranks"] += x is not None
+            return real(self, x)
+        return counted_rank
+
+    for m in (UniformMatroid(4, 9), UniformMatroid(4, 9).contract(0b100100)):
+        m.rank()
+        monkeypatch.setattr(Matroid, "closure", counted_closure)
+        monkeypatch.setattr(Matroid, "rank", counted(rank))
+        monkeypatch.setattr(MinorMatroid, "rank", counted(minor_rank))
+        levels = [m.flats_of_rank(k) for k in range(m.rank() + 1)]
+        monkeypatch.undo()
+        assert counts == {"closures": 0, "ranks": 0}, m
+        assert levels == levels_by_extension(m)

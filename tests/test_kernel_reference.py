@@ -1,8 +1,8 @@
-"""`mdl.covers`, `mdl.rep`, `mdl.gf` and `mdl.stacks` against the
-verbatim copies of their earlier kernels in tests/kernel_reference.py:
-the same covers, witnesses, cover values and selections, re-check
-verdicts, matrix entries, stack parts and error text on seeded
-corpora."""
+"""`mdl.covers`, `mdl.rep`, `mdl.gf`, `mdl.stacks` and `mdl.catalog`
+against the verbatim copies of their earlier kernels in
+tests/kernel_reference.py: the same covers, witnesses, cover values and
+selections, re-check verdicts, matrix entries, stack parts, drawn
+columns and error text on seeded corpora."""
 
 import random
 from collections import Counter
@@ -13,10 +13,11 @@ import kernel_reference as ref
 from test_echelon import with_loop_and_parallel
 from mdl import catalog, covers, gf, rep, stacks
 from mdl.bits import bits, mask_of
-from mdl.core import LinearMatroid, UniformMatroid, direct_sum, parallel_extension
+from mdl.core import LinearMatroid, Matroid, UniformMatroid, direct_sum, parallel_extension
 from mdl.errors import InputError
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
 
 def corpus():
@@ -133,6 +134,33 @@ def test_tau1_matches_search_reference():
         ranks[min(m.rank(), 2)] += 1
         ranks["empty"] += m.ground == 0
     assert ranks[0] >= 3 and ranks[1] >= 3 and ranks[2] >= 90 and ranks["empty"] >= 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_tau_weighted_matches_every_level_reference(d, monkeypatch):
+    """tau_weighted stops below the first level whose every flat the
+    weight rule drops; reading every level gives the same value and
+    certificate.  The levels the stop skips are counted: for d >= 2 it
+    skips some on at least 13 members and more than the top level (E)
+    on at least 2, and at d = 1 it skips none."""
+    read = []
+    flats_of_rank = Matroid.flats_of_rank
+    monkeypatch.setattr(Matroid, "flats_of_rank",
+                        lambda self, k: read.append(k) or flats_of_rank(self, k))
+    skipped = Counter()
+    for m in tau1_corpus():
+        read.clear()
+        want = ref.tau_weighted(m, d)
+        top = max(read, default=-1)
+        read.clear()
+        assert covers.tau_weighted(m, d) == want, m
+        skipped[top - max(read, default=-1)] += 1
+    cut = sum(n for levels, n in skipped.items() if levels)
+    below_top = sum(n for levels, n in skipped.items() if levels > 1)
+    if d == 1:
+        assert cut == 0, skipped
+    else:
+        assert cut >= 13 and below_top >= 2, skipped
 
 
 def cover_calls(monkeypatch):
@@ -301,3 +329,15 @@ def test_project_stack_matches_parallel_extension_reference():
         else:
             kinds[want[0]] += 1
     assert kinds["folded"] >= 20 and kinds["verbatim"] >= 10, kinds
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_random_columns_match_randrange_reference(q):
+    """Entries drawn by getrandbits with rejection are randrange's: the
+    same columns, and the generator left in the same state."""
+    for rows in range(1, 7):
+        for seed in range(3):
+            got, want = random.Random(seed), random.Random(seed)
+            assert (catalog._random_columns(got, 12, rows, q)
+                    == ref._random_columns(want, 12, rows, q)), (rows, seed)
+            assert got.random() == want.random()

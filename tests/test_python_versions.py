@@ -3,8 +3,12 @@ the other Python versions on PATH.
 
 Each of python3.10, python3.12 and python3.13 that runs gets one
 process, which runs the twelve `mdl verify` suites (seed 1, 20 trials,
-lem14 4) with --json and `mdl tau --help`.  Their stdout and exit codes
-must equal those of the interpreter running the tests.  A pyenv shim
+lem14 4) with --json, `mdl tau --help` and `mdl gen linear_random` over
+GF(2), GF(3), GF(4) and GF(9) with three seeds.  Their stdout, exit
+codes and the sha256 of each generated file must equal those of the
+interpreter running the tests.  The generator's draw is the rejection
+scheme of `random.randrange` spelled out over `getrandbits`, so a
+release that changed that scheme would show here.  A pyenv shim
 that does not start by itself is tried again with PYENV_VERSION set to
 each installed version of its minor release.  An interpreter that is
 not on PATH, or that does not start either way, is skipped.
@@ -28,12 +32,15 @@ STARTED = "python started"
 
 RUN = f"""
 print({STARTED!r}, flush=True)
-import contextlib, io, json
+import contextlib, hashlib, io, json
 from mdl import harness
 from mdl.cli import main
 
 argvs = [["verify", lemma, "--trials", "4" if lemma == "lem14" else "20", "--seed", "1",
           "--json"] for lemma in sorted(harness.SUITES)] + [["tau", "--help"]]
+argvs += [["gen", "linear_random", rank, cols, q, "--seed", seed, "-o", f"lr{{q}}_{{seed}}.mtd"]
+          for q, rank, cols in (("2", "5", "14"), ("3", "4", "12"), ("4", "3", "10"),
+                                ("9", "2", "9")) for seed in ("0", "1", "7")]
 out = []
 for argv in argvs:
     buf = io.StringIO()
@@ -43,6 +50,9 @@ for argv in argvs:
         except SystemExit as exc:
             code = exc.code
     out.append([argv, code, buf.getvalue()])
+    if argv[0] == "gen":
+        with open(argv[-1], "rb") as fh:
+            out[-1].append(hashlib.sha256(fh.read()).hexdigest())
 print(json.dumps(out))
 """
 
