@@ -257,11 +257,10 @@ def tau(m: Matroid, a: int) -> CoverResult:
         return CoverResult(0, Cover(()))
     if a < 0:
         return CoverResult(INF, None)
-    if a == 0:
-        if m.ground & ~m.loops():
-            return CoverResult(INF, None)
-        return CoverResult(1, Cover((m.ground,)))
     r = m.rank()
+    if a == 0 and r > 0:
+        # a nonloop exists iff the rank is positive, and lies in no rank-0 set
+        return CoverResult(INF, None)
     if a >= r:
         return CoverResult(1, Cover((m.ground,)))
     if a == 1:
@@ -282,13 +281,18 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
     of it extends to one of M by r - k points outside it), so once
     d^k >= d * (eps - (r - k)) at a k > 1, the rule d^k >= d * p drops
     the whole level, and for d >= 2 every higher one: the loop stops
-    there, with the same candidates.  At d = 1 that never holds, as
-    eps - (r - k) >= k > 1.
+    there, with the same candidates.
+
+    At d = 1 every flat weighs 1 and the only flat holding every point
+    is E, so the answer is 1 by (E), the search's own, with no level
+    built.
     """
     if d < 1:
         raise InputError("need d >= 1")
     if m.ground == 0:
         return CoverResult(0, Cover(()))
+    if d == 1:
+        return CoverResult(1, Cover((m.ground,)))
     r = m.rank()
     universe = m.representatives()
     if universe == 0:

@@ -4,6 +4,17 @@ A suite draws trial i from an rng shared by all its trials and returns
 the matroid to dump if the trial fails (or None) and check() -> (ok,
 detail), which does the trial's work.  `run_suite` alone loops over the
 trials, seeds the rng and decides what an exception in a check means.
+
+Draws that are a pure function of a few small parameters and take
+nothing from the rng (`pg` and `u24_tower` geometries, uniform
+matroids and their sums, planted block stacks) go through `_fixed`,
+which hands every trial of one `run_suite` call the same instance.  A
+later trial so reuses the rank memo and flat levels an earlier one
+filled.  Outputs cannot change: a matroid changes after construction
+only in its rank memo, flat levels and full rank, which are pure
+functions of it, and the rng stream is drawn as before.  The shared
+instances are dropped when the call ends, however it ends; outside a
+call `_fixed` builds afresh.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from . import catalog, covers, gf, rep, stacks
 from . import reduce as reductions
@@ -43,6 +55,21 @@ class SuiteResult:
         return good, len(self.trials)
 
 
+# build(*args) -> instance, for the fixed draws of the running
+# `run_suite` call; None outside one
+_shared: dict | None = None
+
+
+def _fixed(build: Callable, *args):
+    """build(*args), or the instance an earlier trial of this run built."""
+    if _shared is None:
+        return build(*args)
+    key = (build, args)
+    if key not in _shared:
+        _shared[key] = build(*args)
+    return _shared[key]
+
+
 def _random_linear(rng: random.Random, q: int, rmin: int, rmax: int,
                    nmin: int, nmax: int) -> LinearMatroid:
     r = rng.randint(rmin, rmax)
@@ -62,13 +89,13 @@ def _mixed_corpus(rng: random.Random) -> Matroid:
     roll = rng.randrange(6)
     if roll == 0:
         r = rng.randint(1, 3)
-        return UniformMatroid(r, rng.randint(r, r + 5))
+        return _fixed(UniformMatroid, r, rng.randint(r, r + 5))
     if roll == 1:
-        return catalog.gen("u24_tower", (rng.randint(1, 2),))
+        return _fixed(catalog.gen, "u24_tower", (rng.randint(1, 2),))
     if roll == 2:
-        return catalog.gen("pg", (3, 2))
+        return _fixed(catalog.gen, "pg", (3, 2))
     if roll == 3:
-        return catalog.gen("pg", (rng.choice([2, 3]), 3))
+        return _fixed(catalog.gen, "pg", (rng.choice([2, 3]), 3))
     return _random_linear(rng, rng.choice([2, 3, 4]), 2, 4, 3, 10)
 
 
@@ -77,7 +104,7 @@ def _mixed_corpus(rng: random.Random) -> Matroid:
 U24_BLOCK = ((1, 0), (0, 1), (1, 1), (1, 2))  # four points of a GF(4) line
 
 
-def _blocks_matroid(nblocks: int, extras: list[list[int]],
+def _blocks_matroid(nblocks: int, extras: Sequence[Sequence[int]],
                     loops: int = 0) -> tuple[LinearMatroid, tuple[int, ...]]:
     """GF(4) matroid of nblocks mutually skew U_{2,4} layers plus extra
     columns supported on chosen blocks; returns it with the block parts."""
@@ -158,10 +185,10 @@ def suite_lem7(rng: random.Random, i: int, seed: int):
     rc_target = rng.choice([0, 1, 2] if k == 1 else [0, 1])
     nblocks = k * (rc_target + 1)
     picked = rng.sample(range(nblocks), rc_target) if rc_target else []
-    extras = [[b] for b in picked]
+    extras = tuple((b,) for b in picked)
     overlap = rng.random() < 0.3 and rc_target >= 1
     loops = 1 if rc_target == 0 and rng.random() < 0.5 else 0
-    m, parts = _blocks_matroid(nblocks, extras, loops=loops)
+    m, parts = _fixed(_blocks_matroid, nblocks, extras, loops)
     cmask = mask_of(range(4 * nblocks, 4 * nblocks + len(extras) + loops))
     if overlap:  # then loops == 0
         # swap one extra for an element of its block: C meets E(S)
@@ -183,9 +210,9 @@ def suite_lem8(rng: random.Random, i: int, seed: int):
     h = rng.choice([1, 2] if a <= 1 else [1])
     nblocks = (a + 1) * h
     picked = rng.sample(range(nblocks), a) if a else []
-    extras = [[b] for b in picked]
+    extras = tuple((b,) for b in picked)
     loops = 1 if a == 0 else 0
-    m, parts = _blocks_matroid(nblocks, extras, loops=loops)
+    m, parts = _fixed(_blocks_matroid, nblocks, extras, loops)
     x = mask_of(range(4 * nblocks, 4 * nblocks + len(extras) + loops))
     cert = stacks.StackCert(parts, 2, 2)
 
@@ -203,9 +230,9 @@ def suite_lem9(rng: random.Random, i: int, seed: int):
     a, b = 1, q + 2
     roll = rng.randrange(4)
     if roll == 0:
-        m = catalog.gen("pg", (3, q))
+        m = _fixed(catalog.gen, "pg", (3, q))
     elif roll == 1:
-        m = catalog.gen("pg", (4, 2)) if q == 2 else catalog.gen("pg", (3, 3))
+        m = _fixed(catalog.gen, "pg", (4, 2) if q == 2 else (3, 3))
     else:
         m = _random_linear(rng, q, 2, 4, 4, 10)
     if rng.random() < 0.25 or m.rank() < 2:
@@ -236,7 +263,7 @@ LEM11_GRID = [(a, b, d, a * d)
 def suite_lem11(rng: random.Random, i: int, seed: int):
     """Uniform-minor extraction from thick uniform matroids."""
     a, b, d, n = LEM11_GRID[i % len(LEM11_GRID)]
-    m = UniformMatroid(a + 1, n)
+    m = _fixed(UniformMatroid, a + 1, n)
 
     def check():
         c, x = covers.thick_uniform_minor(m, a, b, d)
@@ -297,13 +324,15 @@ def suite_lem16(rng: random.Random, i: int, seed: int):
     """Weakly round restriction keeping the density premise."""
     roll = rng.randrange(4)
     if roll == 0:
-        m = catalog.gen("pg", (3, 2))  # already weakly round
+        m = _fixed(catalog.gen, "pg", (3, 2))  # already weakly round
     elif roll == 1:
-        m = UniformMatroid(2, rng.randint(2, 6))  # rank <= 2 branch
+        m = _fixed(UniformMatroid, 2, rng.randint(2, 6))  # rank <= 2 branch
     elif roll == 2:
-        m = direct_sum([UniformMatroid(3, 3), UniformMatroid(2, rng.randint(6, 10))])
+        # the parts are shared, so the sum's key repeats too
+        m = _fixed(direct_sum, (_fixed(UniformMatroid, 3, 3),
+                                _fixed(UniformMatroid, 2, rng.randint(6, 10))))
     else:
-        m = direct_sum([UniformMatroid(2, 2), _random_linear(rng, 2, 2, 3, 4, 8)])
+        m = direct_sum([_fixed(UniformMatroid, 2, 2), _random_linear(rng, 2, 2, 3, 4, 8)])
     a, q = 1, 2
 
     def check():
@@ -320,11 +349,11 @@ def suite_lem17(rng: random.Random, i: int, seed: int):
     """Spanning contraction preserving two restrictions."""
     roll = rng.randrange(3)
     if roll == 0:
-        m = catalog.gen("pg", (4, 2))
+        m = _fixed(catalog.gen, "pg", (4, 2))
     elif roll == 1:
-        m = catalog.gen("pg", (3, rng.choice([2, 3])))
+        m = _fixed(catalog.gen, "pg", (3, rng.choice([2, 3])))
     else:
-        m = UniformMatroid(3, rng.randint(5, 8))
+        m = _fixed(UniformMatroid, 3, rng.randint(5, 8))
     r = m.rank()
     if rng.random() < 0.25:
         y = m.basis_of(m.ground)  # already spanning: C must stay empty
@@ -385,19 +414,27 @@ def run_suite(lemma: str, trials: int, seed: int) -> SuiteResult:
     CapExceeded, fails its trial: each suite builds the lemma's premises
     in, and a RuntimeError is a procedure failing its own re-verification.
     Any other exception, and any exception of a draw, propagates.
+
+    The trials share their fixed draws (see `_fixed`) until the call
+    ends, and no longer.
     """
+    global _shared
     if lemma not in SUITES:
         raise InputError(f"unknown lemma suite {lemma!r}; "
                          f"choose from {sorted(SUITES)}")
     rng = random.Random(seed)
     out = []
-    for i in range(trials):
-        m, check = SUITES[lemma](rng, i, seed)
-        try:
-            ok, detail = check()
-        except CapExceeded:
-            raise
-        except (PremiseError, RuntimeError) as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        out.append(Trial(i, ok, detail, None if ok else m))
+    _shared = {}
+    try:
+        for i in range(trials):
+            m, check = SUITES[lemma](rng, i, seed)
+            try:
+                ok, detail = check()
+            except CapExceeded:
+                raise
+            except (PremiseError, RuntimeError) as exc:
+                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+            out.append(Trial(i, ok, detail, None if ok else m))
+    finally:
+        _shared = None
     return SuiteResult(lemma, out)

@@ -7,7 +7,8 @@ seeds 3 and 4 (rows permuted, rows and columns scaled by nonzero
 field elements, so the labelled matroid is the catalog's), `tau --a 1`
 on the geometry inputs, on cover input `a` and on an input with loops
 and parallel classes, `tauw --d 5` on cover inputs `a` and `j` (of
-ranks 5 and 4, where `tau_weighted` reads no level above rank 2), and
+ranks 5 and 4, where `tau_weighted` reads no level above rank 2),
+`tauw --d 1` on the same two (where the answer is 1, by E), and
 the twelve `mdl verify` suites at 30 trials with seeds 0 and 1.  Each
 runs through `cli.main` in text and with --json.
 
@@ -87,7 +88,7 @@ def job_argvs(seed: int) -> list[list[str]]:
     out += [["round", g + name + ".mtd"] for name in ("pg42", "pg33", "pg34", "pg35")]
     out += [["tau", g + name + ".mtd", "--a", "1"] for name in GEOMETRY_INPUTS]
     out += [["tau", c + name + ".mtd", "--a", "1"] for name in ("a", "loops")]
-    out += [["tauw", c + name + ".mtd", "--d", "5"] for name in ("a", "j")]
+    out += [["tauw", c + name + ".mtd", "--d", str(d)] for d in (5, 1) for name in ("a", "j")]
     return out
 
 
@@ -320,6 +321,14 @@ DIGESTS: dict[str, str] = {
         "dcfbc02a11297858f46b7c4cf02fb8366ac195cf1f9c2c41020c685029b47a3b",
     "tauw cover3/j.mtd --d 5 --json":
         "8a246a04d3c45a556285ae020d47ccb346d90e8cbec70f3b53eeaa1180a33a12",
+    "tauw cover3/a.mtd --d 1":
+        "fd49852b28879e2d52bcf0353734faa84ca966dba7536092a4c2317f272544ad",
+    "tauw cover3/a.mtd --d 1 --json":
+        "32918c37a6f358f8c9880aa96788341e07c5d7c96903d1b37f83723941ef7b8a",
+    "tauw cover3/j.mtd --d 1":
+        "795706b312518c7c90d7b34f038ca0b942c57c6499258f1d56d171ea8922f894",
+    "tauw cover3/j.mtd --d 1 --json":
+        "32918c37a6f358f8c9880aa96788341e07c5d7c96903d1b37f83723941ef7b8a",
     "tau cover4/pg42.mtd --a 2":
         "33463a97e3dc19b269c989a0134859d3a3c2192e21491018b2c0a0e5c9658c74",
     "tau cover4/pg42.mtd --a 2 --json":
@@ -504,6 +513,14 @@ DIGESTS: dict[str, str] = {
         "dcfbc02a11297858f46b7c4cf02fb8366ac195cf1f9c2c41020c685029b47a3b",
     "tauw cover4/j.mtd --d 5 --json":
         "8a246a04d3c45a556285ae020d47ccb346d90e8cbec70f3b53eeaa1180a33a12",
+    "tauw cover4/a.mtd --d 1":
+        "fd49852b28879e2d52bcf0353734faa84ca966dba7536092a4c2317f272544ad",
+    "tauw cover4/a.mtd --d 1 --json":
+        "32918c37a6f358f8c9880aa96788341e07c5d7c96903d1b37f83723941ef7b8a",
+    "tauw cover4/j.mtd --d 1":
+        "795706b312518c7c90d7b34f038ca0b942c57c6499258f1d56d171ea8922f894",
+    "tauw cover4/j.mtd --d 1 --json":
+        "32918c37a6f358f8c9880aa96788341e07c5d7c96903d1b37f83723941ef7b8a",
     "verify cor5 --trials 30 --seed 0":
         "b0d88e975382f2ff474bc9cfc56315daa145368efaa8d860e8d0b5ce70c457a8",
     "verify cor5 --trials 30 --seed 0 --json":

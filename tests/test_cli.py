@@ -44,6 +44,16 @@ def test_tau_json_mirror(tmp_path, capsys):
     assert len(data["cover"]) == 4
 
 
+def test_tauw_d1_answers_without_the_flats(tmp_path, capsys):
+    # U(8,16) has 26,333 flats of rank 1 to 7, past the candidate cap;
+    # at d = 1 the answer is E, of weight 1, with no level built
+    f = str(tmp_path / "u816.mtd")
+    run(capsys, "gen", "uniform", "8", "16", "-o", f)
+    code, out, err = run(capsys, "tauw", f, "--d", "1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"tau_weighted": "1", "cover": [list(range(16))]}
+
+
 def test_conn_command(tmp_path, capsys):
     f = str(tmp_path / "t.mtd")
     run(capsys, "gen", "u24_tower", "2", "-o", f)

@@ -661,9 +661,10 @@ def test_every_universe_element_has_a_candidate(monkeypatch):
 
 
 def counting_kernels(monkeypatch):
-    """Count `Matroid.closure` calls and `gf.echelon` eliminations."""
-    counts = {"closures": 0, "eliminations": 0}
-    closure, echelon = Matroid.closure, gf.echelon
+    """Count `Matroid.closure` calls, `gf.echelon` eliminations and
+    `gf.Matrix` builds."""
+    counts = {"closures": 0, "eliminations": 0, "matrices": 0}
+    closure, echelon, matrix = Matroid.closure, gf.echelon, gf.Matrix.__init__
 
     def counted_closure(self, x):
         counts["closures"] += 1
@@ -673,8 +674,13 @@ def counting_kernels(monkeypatch):
         counts["eliminations"] += 1
         return echelon(*args)
 
+    def counted_matrix(self, *args):
+        counts["matrices"] += 1
+        matrix(self, *args)
+
     monkeypatch.setattr(Matroid, "closure", counted_closure)
     monkeypatch.setattr(gf, "echelon", counted_echelon)
+    monkeypatch.setattr(gf.Matrix, "__init__", counted_matrix)
     return counts
 
 
@@ -689,7 +695,7 @@ def test_kdensity_cover_kernel_counts(monkeypatch):
     counts = counting_kernels(monkeypatch)
     cov = covers.kdensity_cover(m, 1, 5)
     assert len(cov.sets) == 40
-    assert counts == {"closures": 2, "eliminations": 41}
+    assert counts == {"closures": 2, "eliminations": 41, "matrices": 0}
 
 
 def test_thm4_suite_kernel_counts(monkeypatch):
@@ -703,4 +709,4 @@ def test_thm4_suite_kernel_counts(monkeypatch):
     closures and 2,784 eliminations)."""
     counts = counting_kernels(monkeypatch)
     assert harness.run_suite("thm4", 125, 0).passed
-    assert counts == {"closures": 88, "eliminations": 2700}
+    assert counts == {"closures": 88, "eliminations": 2700, "matrices": 125}

@@ -1,15 +1,20 @@
 """Harness machinery: determinism, registry, failure reporting."""
 
+import gc
 import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
+from test_covers import counting_kernels
 
-from mdl import harness
+from mdl import catalog, harness
+from mdl.core import UniformMatroid
+from mdl.errors import CapExceeded
 
 
 def test_registry_complete():
@@ -102,3 +107,105 @@ def test_suite_corpora_pinned():
     for name, digest in CORPUS_DIGESTS.items():
         rows = [[t.index, t.passed, t.detail] for t in harness.run_suite(name, 6, 0).trials]
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, name
+
+
+# The verify workload's trial counts (`VERIFY_TRIALS` in
+# perfbench/workloads.py, copied, so that this pin stays put when the
+# benchmark is resized), plus lem9, which the workload leaves out, at
+# lem10's count.  At these counts many trials draw a fixed matroid that
+# an earlier trial of the same run already drew.
+BENCHMARK_TRIALS = {
+    "thm4": 125, "cor5": 95, "lem7": 60, "lem8": 95, "lem10": 95,
+    "lem11": 30, "lem12": 60, "lem14": 3, "lem16": 60, "lem17": 50,
+    "hirschfeld": 20, "lem9": 95,
+}
+
+# the CORPUS_DIGESTS digest at BENCHMARK_TRIALS and seed 0
+BENCHMARK_DIGESTS = {
+    "thm4": "013a2997f7657c2db333e2ded09400117800325a105e28d6ca98b1161e6b2535",
+    "cor5": "db8d75a47fc27af6824944be8762e31dd7710a3a1898e6192b1e19763744034a",
+    "lem7": "f52d3481ffa01f4243fd95698195de8cff03e15bfa72a6ec80cb8aa0536ee7b1",
+    "lem8": "ffba2c09201e2ca37bb30c13cc736212460bbf1d2764bcfece4cd240b7cdac51",
+    "lem10": "1a4327aa1f1e9bad0f41cefa6310a785d1af83c2713586e696b6254acd8f4958",
+    "lem11": "f12fbc47ecaf4e04f236ebab84a95e3a8d8ac85c4d383cc46f9fba1afce218cb",
+    "lem12": "54bf23d6ebfbc5791dea10b76628250e7ba4d4d6f86a693fec7a534efe7236c2",
+    "lem14": "9e99547474b47ebbb422de34592d9aa4b9ae6af1124bd6fa1df8db490c579c08",
+    "lem16": "5b15690505bf34f47758b86602bc1d63700b0cca86d383089d17728f586e8543",
+    "lem17": "7e43ad818265d7475d0ef89c91515d71fad45987cde35f789673d501be71e894",
+    "hirschfeld": "5cafa68adaf3f68a1596fcc60c7338d1bb8baec972b57f39ecb44d13981047be",
+    "lem9": "2dd61c2fce5fa45e2e5ac3607dc385abe6260ef6dbcc0a206fd8946da26dd42f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_TRIALS))
+def test_suite_outputs_pinned_at_benchmark_scale(name):
+    assert set(BENCHMARK_DIGESTS) == set(BENCHMARK_TRIALS) == set(harness.SUITES)
+    trials = harness.run_suite(name, BENCHMARK_TRIALS[name], 0).trials
+    rows = [[t.index, t.passed, t.detail] for t in trials]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == BENCHMARK_DIGESTS[name]
+
+
+def test_verify_job_list_kernel_counts(monkeypatch):
+    """Closures, eliminations and `gf.Matrix` builds over the verify
+    workload's job list (BENCHMARK_TRIALS less lem9, seed 0).  Before
+    the trials of a run shared their fixed draws, and with `tau` at
+    a = 0 closing cl(∅): 497 closures, 10,107 eliminations and 585
+    matrices; `tau` at a = 0 read from r(M) alone: 188, 9,798 and 585."""
+    counts = counting_kernels(monkeypatch)
+    for name, trials in BENCHMARK_TRIALS.items():
+        if name != "lem9":
+            assert harness.run_suite(name, trials, 0).passed, name
+    assert counts == {"closures": 188, "eliminations": 7163, "matrices": 390}
+
+
+def test_lem17_builds_each_geometry_once(monkeypatch):
+    """Its 50 trials draw a geometry 29 times, of three kinds."""
+    built = []
+    gen = catalog.gen
+
+    def counted(name, params=(), seed=0):
+        built.append((name, params))
+        return gen(name, params, seed)
+
+    monkeypatch.setattr(catalog, "gen", counted)
+    assert harness.run_suite("lem17", 50, 0).passed
+    assert sorted(built) == [("pg", (3, 2)), ("pg", (3, 3)), ("pg", (4, 2))]
+
+
+def test_shared_draws_live_for_one_run_only(monkeypatch):
+    """A run's trials get one instance per fixed draw, and none is left
+    once the run returns or raises; outside a run each draw is new."""
+    drawn, shared = [], []
+
+    def suite(rng, i, seed):
+        m = harness._fixed(UniformMatroid, 2, 4)
+        drawn.append(weakref.ref(m))
+        shared.append(m is harness._fixed(UniformMatroid, 2, 4))
+
+        def check():
+            if i == 2:
+                raise CapExceeded("planted")
+            return True, ""
+
+        return m, check
+
+    monkeypatch.setitem(harness.SUITES, "planted", suite)
+    assert harness.run_suite("planted", 2, 0).passed
+    assert harness._shared is None
+    with pytest.raises(CapExceeded):
+        harness.run_suite("planted", 3, 0)
+    assert harness._shared is None
+    assert shared == [True] * 5
+    gc.collect()
+    assert [ref() for ref in drawn] == [None] * 5
+    assert harness._fixed(UniformMatroid, 2, 4) is not harness._fixed(UniformMatroid, 2, 4)
+    m, _ = harness._blocks_matroid(2, [[0]])
+    assert m is not harness._blocks_matroid(2, [[0]])[0]
+    # and before any run, in a fresh interpreter
+    code = ("from mdl import harness\n"
+            "from mdl.core import UniformMatroid as U\n"
+            "assert harness._fixed(U, 2, 4) is not harness._fixed(U, 2, 4)")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
+    assert out.returncode == 0, out.stderr
