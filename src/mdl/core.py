@@ -7,7 +7,11 @@ the same elements afterwards; the density procedures rely on that.
 
 Rank queries are memoized per matroid value.  Minor views delegate to
 their base matroid's memo, so a whole tower of contractions built during
-a search shares one cache.
+a search shares one cache.  Flat levels join the rank memo on the base:
+every view of the minor M / C \\ D keeps its levels in one list the base
+holds under (C, D), so a level is built once however many views of the
+minor ask for it.  A view registers that list with the first level it
+builds, so a view that only answers ranks and closures leaves nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ class Matroid:
         self.ground = (1 << n) - 1 if ground is None else ground
         self._rank_memo: dict[int, int] = {}
         self._flat_levels: list[list[int]] | None = None
+        # (contracted, deleted) of a minor view -> that minor's flat levels
+        self._minor_levels: dict[tuple[int, int], list[list[int]]] = {}
         self._full_rank: int | None = None
 
     # -- rank ---------------------------------------------------------
@@ -152,13 +158,16 @@ class Matroid:
         """
         if k < 0 or k > self.rank():
             return []
-        if self._flat_levels is None:
-            if self.rank() == 0:
-                self._flat_levels = [[self.ground]]
-            else:
-                loops, *points = self._classes(0, self.ground)
-                self._flat_levels = [[loops], sorted(loops | p for p in points)]
         levels = self._flat_levels
+        if levels is None:
+            levels = self._level_store()
+            if not levels:
+                if self.rank() == 0:
+                    levels.append([self.ground])
+                else:
+                    loops, *points = self._classes(0, self.ground)
+                    levels += [[loops], sorted(loops | p for p in points)]
+            self._flat_levels = levels
         loops = levels[0][0]
         while len(levels) <= k:
             if len(levels) == self.rank():
@@ -187,6 +196,10 @@ class Matroid:
                     raise CapExceeded(f"flats of rank {len(levels)} exceed cap {MAX_FLATS}")
             levels.append(sorted(nxt))
         return list(levels[k])
+
+    def _level_store(self) -> list[list[int]]:
+        """The list this matroid's flat levels grow in, asked for once."""
+        return []
 
     def epsilon(self) -> int:
         """Number of points (rank-1 flats), i.e. parallel classes of nonloops."""
@@ -360,6 +373,11 @@ class MinorMatroid(Matroid):
         if x & ~self.ground:
             raise IndexError("subset contains elements outside the ground set")
         return self._rank_impl(x)
+
+    def _level_store(self) -> list[list[int]]:
+        """The levels every view of this minor of the base shares."""
+        key = (self.contracted, self.deleted)
+        return self.base._minor_levels.setdefault(key, [])
 
     def _spanned(self, x: int, mask: int) -> int:
         return self.base._spanned(x | self.contracted, mask)

@@ -10,8 +10,9 @@ nothing from the rng (`pg` and `u24_tower` geometries, uniform
 matroids and their sums, planted block stacks) go through `_fixed`,
 which hands every trial of one `run_suite` call the same instance.  A
 later trial so reuses the rank memo and flat levels an earlier one
-filled.  Outputs cannot change: a matroid changes after construction
-only in its rank memo, flat levels and full rank, which are pure
+filled, the levels of the instance's minors included.  Outputs cannot
+change: a matroid changes after construction only in its rank memo,
+flat levels, its minors' flat levels and full rank, which are pure
 functions of it, and the rng stream is drawn as before.  The shared
 instances are dropped when the call ends, however it ends; outside a
 call `_fixed` builds afresh.

@@ -8,9 +8,12 @@ field elements, so the labelled matroid is the catalog's), `tau --a 1`
 on the geometry inputs, on cover input `a` and on an input with loops
 and parallel classes, `tauw --d 5` on cover inputs `a` and `j` (of
 ranks 5 and 4, where `tau_weighted` reads no level above rank 2),
-`tauw --d 1` on the same two (where the answer is 1, by E), and
-the twelve `mdl verify` suites at 30 trials with seeds 0 and 1.  Each
-runs through `cli.main` in text and with --json.
+`tauw --d 1` on the same two (where the answer is 1, by E),
+`round --extract` on the four `round` inputs, `stack verify` on the
+certificate the pg43 `stack find` prints (both re-derive the same
+minors, as `mdl verify` does), and the twelve `mdl verify` suites at
+30 trials with seeds 0 and 1.  Each runs through `cli.main` in text
+and with --json.
 
 A change that leaves every output alone passes unedited.  A change
 that alters an output on purpose updates DIGESTS in the same change;
@@ -60,6 +63,9 @@ COVER_INPUTS = {
 }
 # an input's zero columns (loops), at these positions of its columns
 ZERO_COLUMNS = {"loops": (3, 11)}
+# the certificate `stack find geometry<seed>/pg43.mtd --q 2 --h 2 --t 2`
+# prints on both seeds, as `stack verify --parts` reads it
+PG43_STACK = "0,1,2,3|" + ",".join(map(str, range(4, 40)))
 GEOMETRY_INPUTS = {
     "pg42": ("pg", (4, 2), 0),
     "pg33": ("pg", (3, 3), 0),
@@ -89,6 +95,8 @@ def job_argvs(seed: int) -> list[list[str]]:
     out += [["tau", g + name + ".mtd", "--a", "1"] for name in GEOMETRY_INPUTS]
     out += [["tau", c + name + ".mtd", "--a", "1"] for name in ("a", "loops")]
     out += [["tauw", c + name + ".mtd", "--d", str(d)] for d in (5, 1) for name in ("a", "j")]
+    out += [["round", g + name + ".mtd", "--extract"] for name in ("pg42", "pg33", "pg34", "pg35")]
+    out.append(["stack", "verify", g + "pg43.mtd", "--q", "2", "--t", "2", "--parts", PG43_STACK])
     return out
 
 
@@ -329,6 +337,26 @@ DIGESTS: dict[str, str] = {
         "795706b312518c7c90d7b34f038ca0b942c57c6499258f1d56d171ea8922f894",
     "tauw cover3/j.mtd --d 1 --json":
         "32918c37a6f358f8c9880aa96788341e07c5d7c96903d1b37f83723941ef7b8a",
+    "round geometry3/pg42.mtd --extract":
+        "3baef0078a8259d7a36cfc341b81c41867edf9fdff821bd00216ecf211ddbd5d",
+    "round geometry3/pg42.mtd --extract --json":
+        "3baef0078a8259d7a36cfc341b81c41867edf9fdff821bd00216ecf211ddbd5d",
+    "round geometry3/pg33.mtd --extract":
+        "4bb9abb5003e0d8e58147e2d3f28a0e6f8da53ee74c31fcf77d99f95904e97ad",
+    "round geometry3/pg33.mtd --extract --json":
+        "fa429eb8ca8e32e76369543b01f8d3a482d47bf40b4a3b3fc14cc4e011faaa0f",
+    "round geometry3/pg34.mtd --extract":
+        "5ae96c8210d27ab3d644c16f666d59636a8e24092ac706521420bed34fbdb418",
+    "round geometry3/pg34.mtd --extract --json":
+        "748202c7a33d81d2b6482f3a521405004162137fc1a6cd86dd95ffb7a2d2df95",
+    "round geometry3/pg35.mtd --extract":
+        "df9f40abd5b0ddfaa4fb05427da9426f841a494ce08f7f27496fa6636fc0627a",
+    "round geometry3/pg35.mtd --extract --json":
+        "23acc06027c060589b86270200af1b60b2fb7f74311cd726b5a4503cf945e39a",
+    "stack verify geometry3/pg43.mtd --q 2 --t 2 --parts 0,1,2,3|4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39":
+        "dc25a19958297a7975f913c4a3429407dfc6a9ac42f182203ad12c979df2ed95",
+    "stack verify geometry3/pg43.mtd --q 2 --t 2 --parts 0,1,2,3|4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39 --json":
+        "10d191ab30b4a42ba85dbdfe433681465689f1ad0ab7a9858676cb177403d96d",
     "tau cover4/pg42.mtd --a 2":
         "33463a97e3dc19b269c989a0134859d3a3c2192e21491018b2c0a0e5c9658c74",
     "tau cover4/pg42.mtd --a 2 --json":
@@ -521,6 +549,26 @@ DIGESTS: dict[str, str] = {
         "795706b312518c7c90d7b34f038ca0b942c57c6499258f1d56d171ea8922f894",
     "tauw cover4/j.mtd --d 1 --json":
         "32918c37a6f358f8c9880aa96788341e07c5d7c96903d1b37f83723941ef7b8a",
+    "round geometry4/pg42.mtd --extract":
+        "3baef0078a8259d7a36cfc341b81c41867edf9fdff821bd00216ecf211ddbd5d",
+    "round geometry4/pg42.mtd --extract --json":
+        "3baef0078a8259d7a36cfc341b81c41867edf9fdff821bd00216ecf211ddbd5d",
+    "round geometry4/pg33.mtd --extract":
+        "4bb9abb5003e0d8e58147e2d3f28a0e6f8da53ee74c31fcf77d99f95904e97ad",
+    "round geometry4/pg33.mtd --extract --json":
+        "fa429eb8ca8e32e76369543b01f8d3a482d47bf40b4a3b3fc14cc4e011faaa0f",
+    "round geometry4/pg34.mtd --extract":
+        "5ae96c8210d27ab3d644c16f666d59636a8e24092ac706521420bed34fbdb418",
+    "round geometry4/pg34.mtd --extract --json":
+        "748202c7a33d81d2b6482f3a521405004162137fc1a6cd86dd95ffb7a2d2df95",
+    "round geometry4/pg35.mtd --extract":
+        "df9f40abd5b0ddfaa4fb05427da9426f841a494ce08f7f27496fa6636fc0627a",
+    "round geometry4/pg35.mtd --extract --json":
+        "23acc06027c060589b86270200af1b60b2fb7f74311cd726b5a4503cf945e39a",
+    "stack verify geometry4/pg43.mtd --q 2 --t 2 --parts 0,1,2,3|4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39":
+        "dc25a19958297a7975f913c4a3429407dfc6a9ac42f182203ad12c979df2ed95",
+    "stack verify geometry4/pg43.mtd --q 2 --t 2 --parts 0,1,2,3|4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39 --json":
+        "10d191ab30b4a42ba85dbdfe433681465689f1ad0ab7a9858676cb177403d96d",
     "verify cor5 --trials 30 --seed 0":
         "b0d88e975382f2ff474bc9cfc56315daa145368efaa8d860e8d0b5ce70c457a8",
     "verify cor5 --trials 30 --seed 0 --json":

@@ -661,10 +661,12 @@ def test_every_universe_element_has_a_candidate(monkeypatch):
 
 
 def counting_kernels(monkeypatch):
-    """Count `Matroid.closure` calls, `gf.echelon` eliminations and
+    """Count `Matroid.closure` calls, `gf.echelon` eliminations,
+    `gf.classes` passes (one per flat step of a linear matroid) and
     `gf.Matrix` builds."""
-    counts = {"closures": 0, "eliminations": 0, "matrices": 0}
+    counts = {"closures": 0, "eliminations": 0, "classes": 0, "matrices": 0}
     closure, echelon, matrix = Matroid.closure, gf.echelon, gf.Matrix.__init__
+    classes = gf.classes
 
     def counted_closure(self, x):
         counts["closures"] += 1
@@ -674,12 +676,17 @@ def counting_kernels(monkeypatch):
         counts["eliminations"] += 1
         return echelon(*args)
 
+    def counted_classes(*args):
+        counts["classes"] += 1
+        return classes(*args)
+
     def counted_matrix(self, *args):
         counts["matrices"] += 1
         matrix(self, *args)
 
     monkeypatch.setattr(Matroid, "closure", counted_closure)
     monkeypatch.setattr(gf, "echelon", counted_echelon)
+    monkeypatch.setattr(gf, "classes", counted_classes)
     monkeypatch.setattr(gf.Matrix, "__init__", counted_matrix)
     return counts
 
@@ -695,7 +702,7 @@ def test_kdensity_cover_kernel_counts(monkeypatch):
     counts = counting_kernels(monkeypatch)
     cov = covers.kdensity_cover(m, 1, 5)
     assert len(cov.sets) == 40
-    assert counts == {"closures": 2, "eliminations": 41, "matrices": 0}
+    assert counts == {"closures": 2, "eliminations": 41, "classes": 18, "matrices": 0}
 
 
 def test_thm4_suite_kernel_counts(monkeypatch):
@@ -709,4 +716,4 @@ def test_thm4_suite_kernel_counts(monkeypatch):
     closures and 2,784 eliminations)."""
     counts = counting_kernels(monkeypatch)
     assert harness.run_suite("thm4", 125, 0).passed
-    assert counts == {"closures": 88, "eliminations": 2700, "matrices": 125}
+    assert counts == {"closures": 88, "eliminations": 2700, "classes": 917, "matrices": 125}

@@ -16,10 +16,11 @@ import random
 
 import pytest
 
-from mdl import catalog, gf
+from mdl import catalog, core, gf
 from mdl.bits import bits, mask_of, submasks
 from mdl.core import (DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid, UniformMatroid,
                       direct_sum, parallel_extension)
+from mdl.errors import CapExceeded
 
 QS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -155,6 +156,84 @@ def nested_minors(m, rng):
     live = list(bits(m.ground))
     c, d, e = (1 << x for x in rng.sample(live, 3))
     return minors(m, rng) + [lambda n: n.contract(c).delete(d).contract(e)]
+
+
+def views_of(m, rng):
+    """m itself if m is a minor view; else its nested minors, or on
+    fewer than five elements the contraction of its least element."""
+    if isinstance(m, MinorMatroid):
+        return [m]
+    if m.size() >= 5:
+        return [minor(m) for minor in nested_minors(m, rng)]
+    return [m.contract(m.ground & -m.ground)] if m.ground else []
+
+
+def counting_classes(monkeypatch):
+    """Count `_classes` calls on every kind."""
+    calls = [0]
+
+    def counted(real):
+        def _classes(self, x, mask):
+            calls[0] += 1
+            return real(self, x, mask)
+        return _classes
+
+    for cls in (Matroid, UniformMatroid, LinearMatroid, MinorMatroid, DirectSumMatroid):
+        monkeypatch.setattr(cls, "_classes", counted(cls.__dict__["_classes"]))
+    return calls
+
+
+@pytest.mark.parametrize("q", [None, *QS])
+def test_second_view_of_a_minor_reads_stored_levels(q, monkeypatch):
+    """Views of one minor of one base share its flat levels: a second
+    view returns the levels the first built, equal to the extension
+    reference, with no `_classes` call.  q = None runs `uniform_kinds()`."""
+    rng = random.Random(3030 if q is None else 3030 + q)
+    checked = 0
+    for m in uniform_kinds() if q is None else corpus(q):
+        for view in views_of(m, rng):
+            want = levels_by_extension(view)
+            assert [view.flats_of_rank(k) for k in range(len(want))] == want
+            again = view.base.minor(view.contracted, view.deleted)
+            assert again is not view
+            calls = counting_classes(monkeypatch)
+            got = [again.flats_of_rank(k) for k in range(len(want))]
+            monkeypatch.undo()
+            assert calls == [0] and got == want, view
+            checked += 1
+    assert checked >= 15
+
+
+def test_views_of_one_minor_share_one_entry():
+    m = catalog.gen("pg", (4, 2))
+    c, d = 0b1, 0b1100000
+    views = [m.minor(c, d), m.contract(c).delete(d), m.delete(d).contract(c)]
+    assert [len(v.flats_of_rank(2)) for v in views] == [7] * 3
+    assert list(m._minor_levels) == [(c, d)]
+    assert all(v._flat_levels is m._minor_levels[c, d] for v in views)
+
+
+def test_rank_and_closure_leave_no_levels():
+    """A view registers its minor's levels with the first level it builds,
+    so a view that answers only ranks and closures leaves nothing."""
+    m = catalog.gen("pg", (4, 2))
+    view = m.contract(0b1).delete(0b110)
+    assert view.rank() == 3 and view.rank(0b11000) == m.rank(0b11001) - 1
+    assert view.closure(0b1000) == m.closure(0b1001) & view.ground
+    assert view.loops() == 0 and view.nonloops() == view.ground
+    assert m._minor_levels == {}
+
+
+def test_capped_level_leaves_stored_levels(monkeypatch):
+    """A CapExceeded stores nothing of the cut-off level: the levels
+    below it stay as they were, and a second view raises the same way."""
+    base = UniformMatroid(4, 7)  # its contraction by one element: 6 points, 15 lines
+    monkeypatch.setattr(core, "MAX_FLATS", 14)
+    for view in (base.contract(0b1), base.contract(0b1)):
+        with pytest.raises(CapExceeded, match="flats of rank 2 exceed cap 14"):
+            view.flats_of_rank(2)
+        assert base._minor_levels == {(0b1, 0): [[0], [1 << e for e in range(1, 7)]]}
+    assert len(base.contract(0b1).flats_of_rank(1)) == 6
 
 
 def check_minor_closures(m, minor_of, rng, ref=None):

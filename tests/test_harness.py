@@ -146,16 +146,18 @@ def test_suite_outputs_pinned_at_benchmark_scale(name):
 
 
 def test_verify_job_list_kernel_counts(monkeypatch):
-    """Closures, eliminations and `gf.Matrix` builds over the verify
-    workload's job list (BENCHMARK_TRIALS less lem9, seed 0).  Before
-    the trials of a run shared their fixed draws, and with `tau` at
-    a = 0 closing cl(∅): 497 closures, 10,107 eliminations and 585
-    matrices; `tau` at a = 0 read from r(M) alone: 188, 9,798 and 585."""
+    """Closures, eliminations, `gf.classes` passes and `gf.Matrix`
+    builds over the verify workload's job list (BENCHMARK_TRIALS less
+    lem9, seed 0).  Before the trials of a run shared their fixed
+    draws, and with `tau` at a = 0 closing cl(∅): 497 closures, 10,107
+    eliminations and 585 matrices; `tau` at a = 0 read from r(M) alone:
+    188, 9,798 and 585.  Before the views of one minor shared its flat
+    levels on their base: 7,163 eliminations and 2,584 classes passes."""
     counts = counting_kernels(monkeypatch)
     for name, trials in BENCHMARK_TRIALS.items():
         if name != "lem9":
             assert harness.run_suite(name, trials, 0).passed, name
-    assert counts == {"closures": 188, "eliminations": 7163, "matrices": 390}
+    assert counts == {"closures": 188, "eliminations": 6442, "classes": 1863, "matrices": 390}
 
 
 def test_lem17_builds_each_geometry_once(monkeypatch):

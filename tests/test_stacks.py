@@ -87,6 +87,16 @@ def test_find_stack_none_on_representable():
     assert stacks.find_stack(pg33, 3, 1, 2) is None
 
 
+def test_find_stack_by_subfield_rule_stores_no_levels():
+    """Over PG(3, 2) with q = 2 every layer is answered by the subfield
+    rule, so no restriction builds a flat level and nothing is left on
+    the base's store of minor levels."""
+    m = catalog.gen("pg", (4, 2))
+    for h, t in ((1, 3), (2, 2)):
+        assert stacks.find_stack(m, 2, h, t) is None
+    assert m._minor_levels == {}
+
+
 def test_find_stack_rank_too_low():
     m = catalog.gen("u24_tower", (1,))
     assert stacks.find_stack(m, 2, 2, 2) is None  # rank 2 < 2h = 4
