@@ -11,9 +11,11 @@ ranks 5 and 4, where `tau_weighted` reads no level above rank 2),
 `tauw --d 1` on the same two (where the answer is 1, by E),
 `round --extract` on the four `round` inputs, `stack verify` on the
 certificate the pg43 `stack find` prints (both re-derive the same
-minors, as `mdl verify` does), and the twelve `mdl verify` suites at
-30 trials with seeds 0 and 1.  Each runs through `cli.main` in text
-and with --json.
+minors, as `mdl verify` does), `conn` on cover inputs pg42 and `loops`,
+`gen` of each of the six families (the files it writes are pinned in
+`test_catalog.py`), and the twelve `mdl verify` suites at 30 trials
+with seeds 0 and 1.  Each runs through `cli.main` in text and with
+--json.
 
 A change that leaves every output alone passes unedited.  A change
 that alters an output on purpose updates DIGESTS in the same change;
@@ -66,6 +68,17 @@ ZERO_COLUMNS = {"loops": (3, 11)}
 # the certificate `stack find geometry<seed>/pg43.mtd --q 2 --h 2 --t 2`
 # prints on both seeds, as `stack verify --parts` reads it
 PG43_STACK = "0,1,2,3|" + ",".join(map(str, range(4, 40)))
+# conn on two cover inputs: (input, --x, --y)
+CONN_JOBS = (("pg42", "0,1", "2,3,4"), ("loops", "0,3,5", "3,11,12,15"))
+# gen of every family, written to a path relative to the inputs' root
+GEN_JOBS = (
+    ("uniform", ("3", "7"), []),
+    ("pg", ("4", "3"), []),
+    ("fano", (), []),
+    ("linear_random", ("4", "12", "5"), ["--seed", "3"]),
+    ("pg_plus_noise", ("3", "2", "4", "3"), ["--seed", "1"]),
+    ("u24_tower", ("3",), []),
+)
 GEOMETRY_INPUTS = {
     "pg42": ("pg", (4, 2), 0),
     "pg33": ("pg", (3, 3), 0),
@@ -97,11 +110,14 @@ def job_argvs(seed: int) -> list[list[str]]:
     out += [["tauw", c + name + ".mtd", "--d", str(d)] for d in (5, 1) for name in ("a", "j")]
     out += [["round", g + name + ".mtd", "--extract"] for name in ("pg42", "pg33", "pg34", "pg35")]
     out.append(["stack", "verify", g + "pg43.mtd", "--q", "2", "--t", "2", "--parts", PG43_STACK])
+    out += [["conn", c + name + ".mtd", "--x", x, "--y", y] for name, x, y in CONN_JOBS]
     return out
 
 
 def argvs() -> list[list[str]]:
     plain = [argv for seed in INPUT_SEEDS for argv in job_argvs(seed)]
+    plain += [["gen", family, *params, "-o", family + ".mtd", *tail]
+              for family, params, tail in GEN_JOBS]
     plain += [["verify", lemma, "--trials", str(VERIFY_TRIALS), "--seed", str(seed)]
               for seed in VERIFY_SEEDS for lemma in sorted(harness.SUITES)]
     return [argv + tail for argv in plain for tail in ([], ["--json"])]
@@ -357,6 +373,14 @@ DIGESTS: dict[str, str] = {
         "dc25a19958297a7975f913c4a3429407dfc6a9ac42f182203ad12c979df2ed95",
     "stack verify geometry3/pg43.mtd --q 2 --t 2 --parts 0,1,2,3|4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39 --json":
         "10d191ab30b4a42ba85dbdfe433681465689f1ad0ab7a9858676cb177403d96d",
+    "conn cover3/pg42.mtd --x 0,1 --y 2,3,4":
+        "edb306987e169d2e810878154fb5da9ce52c91a7b83e70fac6acfbce2999ced5",
+    "conn cover3/pg42.mtd --x 0,1 --y 2,3,4 --json":
+        "cea75323f51ab04df2fcc1ed255ad206005ea4ea1b02890bef01559a3d66e212",
+    "conn cover3/loops.mtd --x 0,3,5 --y 3,11,12,15":
+        "be3003d22db948f6e5f5a7ec69061813c4cdc92b3a75727897b2b51f39f40db3",
+    "conn cover3/loops.mtd --x 0,3,5 --y 3,11,12,15 --json":
+        "0ac23dcb994e95d484022f9881decd897bf157ccb11661df0819fc976df8404b",
     "tau cover4/pg42.mtd --a 2":
         "33463a97e3dc19b269c989a0134859d3a3c2192e21491018b2c0a0e5c9658c74",
     "tau cover4/pg42.mtd --a 2 --json":
@@ -569,6 +593,38 @@ DIGESTS: dict[str, str] = {
         "dc25a19958297a7975f913c4a3429407dfc6a9ac42f182203ad12c979df2ed95",
     "stack verify geometry4/pg43.mtd --q 2 --t 2 --parts 0,1,2,3|4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39 --json":
         "10d191ab30b4a42ba85dbdfe433681465689f1ad0ab7a9858676cb177403d96d",
+    "conn cover4/pg42.mtd --x 0,1 --y 2,3,4":
+        "edb306987e169d2e810878154fb5da9ce52c91a7b83e70fac6acfbce2999ced5",
+    "conn cover4/pg42.mtd --x 0,1 --y 2,3,4 --json":
+        "cea75323f51ab04df2fcc1ed255ad206005ea4ea1b02890bef01559a3d66e212",
+    "conn cover4/loops.mtd --x 0,3,5 --y 3,11,12,15":
+        "be3003d22db948f6e5f5a7ec69061813c4cdc92b3a75727897b2b51f39f40db3",
+    "conn cover4/loops.mtd --x 0,3,5 --y 3,11,12,15 --json":
+        "0ac23dcb994e95d484022f9881decd897bf157ccb11661df0819fc976df8404b",
+    "gen uniform 3 7 -o uniform.mtd":
+        "c2076e748a2e8992128b465a6753c7066223c1e4c6c44f9332a987306ea5d4af",
+    "gen uniform 3 7 -o uniform.mtd --json":
+        "b799805aa3eb55a6e26520667007e33f5942adc3056fac91b4ed661027531e5c",
+    "gen pg 4 3 -o pg.mtd":
+        "d3f68a69b6f0bfdfb931acfa429b127a7e2e7f7f688ea423856534e75b5e2624",
+    "gen pg 4 3 -o pg.mtd --json":
+        "5e67176b7944f0a634c929498fc51a4cdff8e7405160fc281398a647d53df037",
+    "gen fano -o fano.mtd":
+        "61629bcacf734b37f88ce1d1919a2895c4da267134491571cb11ef5bbdc05e54",
+    "gen fano -o fano.mtd --json":
+        "2d64cd26c1d8f234cadc855c0401d97820a0478056c6c1914f6676e095729664",
+    "gen linear_random 4 12 5 -o linear_random.mtd --seed 3":
+        "ace92a7a61b8b22d84f984f093dd3e796906a83e97497000fe45e1d4cd60857d",
+    "gen linear_random 4 12 5 -o linear_random.mtd --seed 3 --json":
+        "79cd8148e059a50d73f8832727f9cfc446fbde760f376cb769ba4b3cd0ecbe69",
+    "gen pg_plus_noise 3 2 4 3 -o pg_plus_noise.mtd --seed 1":
+        "58632c679889e9fda5787714048a94365ed644f33f760fcc02da2ed299a4cc5b",
+    "gen pg_plus_noise 3 2 4 3 -o pg_plus_noise.mtd --seed 1 --json":
+        "9ebf52d274c94a9348889f9c3de0b1a474d8a420d128da318e01c1b121db3c7d",
+    "gen u24_tower 3 -o u24_tower.mtd":
+        "f1e0c031bd3ed727617178e2dd3c5d99c389fd1683a7a6122f18a0154fb41a7e",
+    "gen u24_tower 3 -o u24_tower.mtd --json":
+        "9d08d74a56b0e8a65b9608ff5823c1dafbd61c2f782e0b8f884cdaa50fbf5e79",
     "verify cor5 --trials 30 --seed 0":
         "b0d88e975382f2ff474bc9cfc56315daa145368efaa8d860e8d0b5ce70c457a8",
     "verify cor5 --trials 30 --seed 0 --json":

@@ -8,6 +8,7 @@ from mdl import catalog, rep
 from mdl.bits import submasks
 from mdl.core import UniformMatroid, validate_rank_axioms
 from mdl.catalog import ParseError
+from mdl.cli import main
 
 
 def test_pg_generators():
@@ -64,6 +65,31 @@ def test_linear_random_deterministic(tmp_path):
             catalog.write_matroid(catalog.gen(family, params, seed=seed), str(path))
             h.update(path.read_bytes())
         assert h.hexdigest() == want, (family, params)
+
+
+# sha256 of the file `mdl gen <family> <params> -o <path>` writes, header included
+GEN_FILE_DIGESTS = {
+    ("uniform", "3", "7"):
+        "6d29b89e2f6bd1233539999e58be7ff19441075eeeed8f4ee497f1ef2c403248",
+    ("uniform", "0", "0"):
+        "5c1dccb5923b9b716ed52db1a741c933496a7bbdda2cf073cbba0cc164e3cae2",
+    ("pg", "4", "3"):
+        "3afc87b1b4da85aac298fa92fc25cbed383ba1d6acb905675d9e65fe7c79bdba",
+    ("pg", "3", "4"):
+        "0c5110f431493ffd97030f32897e740a029cf0ec0b3157a073afb569cebcdf6e",
+    ("fano",):
+        "b6fbcc3db864dbac10cb6312845bc3532ae17e520772d5c80332d3ce2f6ab33c",
+    ("u24_tower", "3"):
+        "58cf62c4668e943eb8c81df03f316fcf2f1e33179a98d94dbfe0736ee3dd82b1",
+}
+
+
+def test_gen_writes_pinned_files(tmp_path, capsys):
+    path = str(tmp_path / "m.mtd")
+    for args, want in GEN_FILE_DIGESTS.items():
+        assert main(["gen", *args, "-o", path]) == 0
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == want, args
 
 
 def test_pg_plus_noise_shape():
