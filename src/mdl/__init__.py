@@ -9,7 +9,6 @@ from .core import (
     MinorMatroid,
     DirectSumMatroid,
     direct_sum,
-    parallel_extension,
     validate_rank_axioms,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "MinorMatroid",
     "DirectSumMatroid",
     "direct_sum",
-    "parallel_extension",
     "validate_rank_axioms",
 ]

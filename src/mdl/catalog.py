@@ -319,7 +319,7 @@ def _build_block(path: str, block: dict, named: dict[str, Matroid]) -> Matroid:
             raise ParseError(path, lineno,
                              f"minor references unknown base {block.get('of')!r}")
         contract, delete = block.get("contract", []), block.get("delete", [])
-        if any(i >= base.n for i in contract + delete):
+        if any(not 0 <= i < base.n for i in contract + delete):
             raise ParseError(path, lineno, "minor sets contain dead elements")
         c, d = mask_of(contract), mask_of(delete)
         try:

@@ -30,8 +30,8 @@ OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _emit(args, pairs: dict, block=None, data: dict | None = None) -> None:
-    """Print pairs as key=value lines and then the text block() builds, or
-    under --json one object of pairs and data (which only JSON carries)."""
+    """Print pairs as key=value lines and then the text block() builds, or under
+    --json, building no block, one object of pairs and data (which only JSON carries)."""
     if args.json:
         print(json.dumps({**pairs, **(data or {})}, default=str))
         return
@@ -359,6 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.  tau, tauw and cover
+    import `mdl.covers`, rep and pg `mdl.rep`, and conn, gen and round
+    without --extract nothing beyond `mdl.catalog`."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _match(argv) or build_parser().parse_args(argv)

@@ -39,13 +39,11 @@ class Matroid:
     """Base class: a ground mask plus a memoized rank oracle.
 
     Three hooks: subclasses implement ``_rank_impl`` on subsets of
-    ``ground``, and may override ``_spanned`` (the part of cl(x) inside
-    a mask, all that ``closure`` asks) and ``_classes`` (the part of
-    cl(x) inside a mask, then the rest of the mask grouped by the flats
-    covering cl(x): the step ``flats_of_rank`` takes, and at x = 0 its
-    loops and points at once) with something faster than their scans of
-    rank queries.  Uniform, linear and direct-sum kinds override both
-    hooks, and minors pass both to their base.
+    ``ground``, and may override ``_spanned``, all that ``closure``
+    asks, and ``_classes``, the step ``flats_of_rank`` takes (see each),
+    with something faster than their scans of rank queries.  Uniform,
+    linear and direct-sum kinds override both hooks, and minors pass
+    both to their base.
     """
 
     kind = "abstract"
@@ -124,6 +122,7 @@ class Matroid:
         return out
 
     def loops(self) -> int:
+        """cl(∅), read from level 0 of the flat lattice once it is built."""
         if self._flat_levels is not None:
             return self._flat_levels[0][0]
         return self.closure(0)
@@ -209,6 +208,7 @@ class Matroid:
         """The least element of each nonloop parallel class, as a mask.
 
         These are the points of si(M); every rank-1 flat holds exactly one.
+        `tau`, `tau_weighted` and `simplify` take their points from here.
         """
         loops = self.flats_of_rank(0)[0]
         keep = 0
@@ -306,7 +306,7 @@ class UniformMatroid(Matroid):
         return mask & ~x if x.bit_count() >= self.r else 0
 
     def _classes(self, x: int, mask: int) -> list[int]:
-        """By rule, as cl(x) is E when |x| >= r and x otherwise."""
+        """By rule, with no rank query: cl(x) is E when |x| >= r, else x."""
         k = x.bit_count()
         if k >= self.r:
             return [mask]
@@ -461,45 +461,8 @@ class DirectSumMatroid(Matroid):
         return [spanned, *out]
 
 
-class ParallelExtensionMatroid(Matroid):
-    """Base matroid plus fresh elements, each parallel to an existing one.
-
-    Public as `mdl.parallel_extension`, and the test corpora's only
-    non-linear parallel class; `stacks` no longer needs it, as a
-    contraction set may meet the stack.  Not part of the file format.
-    """
-
-    kind = "parallel_extension"
-
-    def __init__(self, base: Matroid, originals: Sequence[int]):
-        for e in originals:
-            if not (base.ground >> e) & 1:
-                raise IndexError("parallel extension of a dead element")
-        super().__init__(base.n + len(originals), base.ground |
-                         (((1 << len(originals)) - 1) << base.n))
-        self.base = base
-        self.originals = tuple(originals)
-
-    def copy_index(self, i: int) -> int:
-        return self.base.n + i
-
-    def _project(self, x: int) -> int:
-        lo = x & ((1 << self.base.n) - 1)
-        hi = x >> self.base.n
-        for i in bits(hi):
-            lo |= 1 << self.originals[i]
-        return lo
-
-    def _rank_impl(self, x: int) -> int:
-        return self.base.rank(self._project(x))
-
-
 def direct_sum(parts: Sequence[Matroid]) -> DirectSumMatroid:
     return DirectSumMatroid(parts)
-
-
-def parallel_extension(base: Matroid, originals: Sequence[int]) -> ParallelExtensionMatroid:
-    return ParallelExtensionMatroid(base, originals)
 
 
 def validate_rank_axioms(m: Matroid, samples: int = 2000, seed: int = 0) -> bool:

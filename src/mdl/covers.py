@@ -41,29 +41,6 @@ class CoverResult:
     cover: Cover | None
 
 
-@dataclass(frozen=True)
-class DensityParams:
-    """Parameters of stacks.alpha_getstack, the density stack threshold."""
-
-    a: int
-    b: int
-    q: int
-    d: int
-    t: int
-    h: int
-    lam: Fraction
-
-    def __post_init__(self):
-        if not 1 <= self.a < self.b:
-            raise InputError("need 1 <= a < b")
-        if self.q < 2:
-            raise InputError("need q >= 2")
-        if self.d < 1 or self.t < 1 or self.h < 0:
-            raise InputError("need d >= 1, t >= 1, h >= 0")
-        if self.lam < 0:
-            raise InputError("need lam >= 0")
-
-
 def _bound_scale(s: int) -> list[int]:
     """[0, L, L/2, ..., L/s] with L = lcm(1..s): the common denominator
     of every share w_S / |S & U| that `_fractional_bound` adds up."""
@@ -321,7 +298,7 @@ def tau_weighted(m: Matroid, d: int) -> CoverResult:
 
 
 def _exact_cover(who: str, universe: int, cands: list[int], weights: list[int]) -> CoverResult:
-    """Exact cover of universe by cands, capped at CANDIDATE_CAP; who names the caller."""
+    """The capped search tau and tau_weighted share, certificate sorted; who names the caller."""
     if len(cands) > CANDIDATE_CAP:
         raise CapExceeded(f"{who}: {len(cands)} candidate flats exceed cap {CANDIDATE_CAP}")
     value, sel = _min_cover(universe, cands, weights)

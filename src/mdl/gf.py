@@ -28,7 +28,8 @@ Linear matroid ranks, closures and flats and the representability
 search's span checks all use them.
 
 `point_index` and `point_vector` are the one numbering of the points of
-PG(r-1, q); `normalized_vectors` lists the points in that order.
+PG(r-1, q), which catalog `pg` and the representability search share;
+`normalized_vectors` lists the points in that order.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ def field(q: int) -> FiniteField:
 
 
 class Matrix:
-    """Dense matrix over a FiniteField; entries stored row-major."""
+    """Dense matrix over a FiniteField, entries row-major, each row range-checked
+    by its min and max (a failure names the first bad entry); columns by one zip."""
 
     __slots__ = ("field", "rows", "cols", "entries", "_columns")
 
@@ -311,9 +313,10 @@ def classes(f: FiniteField, pivots: list, vecs, mask: int) -> list[int]:
     An element is in the span exactly when its residual (`_residuals`)
     is zero; two others share a group exactly when their residuals span
     one point, whose `point_index` keys the group (over GF(2), the
-    residual itself).  The zero residual's key, 0 over GF(2) and -1 over
-    GF(q), is seeded first, so the spanned mask comes first, maybe 0,
-    and the groups follow in the order of their least elements.
+    residual itself), so scaling to a leading 1 is written once, there.
+    The zero residual's key, 0 over GF(2) and -1 over GF(q), is seeded
+    first, so the spanned mask comes first, maybe 0, and the groups
+    follow in the order of their least elements.
     """
     binary = f.q == 2
     groups: dict = {0 if binary else -1: 0}

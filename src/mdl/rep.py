@@ -1,12 +1,11 @@
 """GF(q)-representability: a verdict from the input's own field or its
 rank, else a search.
 
-`representable` answers True at once for a matrix over a subfield of
-GF(q), or a minor of one (the class is minor-closed), and so decides
-`is_pg` on such an input by its rank and point count alone.  It answers
-every input of rank at most 2 by its point count: U_{2,q+2} is the only
-obstruction there.  Every other verdict, and every matrix, comes from
-`is_representable`'s backtracking coordinatization, described below.
+`representable` answers a matrix over a subfield of GF(q), or a minor
+of one (the class is minor-closed), and every input of rank at most 2
+(U_{2,q+2} is the only obstruction there) with no search; see its
+docstring and `is_pg`'s.  Every other verdict, and every matrix, comes
+from `is_representable`'s backtracking coordinatization, described below.
 
 The searcher works on the simplification: loops map to the zero vector
 and parallel elements share a column, so representability of the input
@@ -40,11 +39,9 @@ matroid's on A (for X within A and e, the image of cl(X) is the span of
 X's columns), so the re-check rejects no leaf that the rule lets
 through.
 
-A completed assignment is still re-checked: the columns must have rank
-r, and every hyperplane of the input must span rank r - 1 among them
-and no column outside itself.  Every flat is an intersection of
-hyperplanes, so every flat is then a flat of the same rank among the
-columns, which forces equal rank functions (`_rank_functions_match`).
+A completed assignment is still re-checked exactly against the input's
+hyperplanes, which is enough, as every flat is an intersection of them
+(`_rank_functions_match`).
 
 "False" is answered before any candidate is tried when the
 simplification has more points than PG(r-1, q), or a line with more
@@ -141,11 +138,9 @@ def _line(q: int, r: int, a: int, b: int) -> frozenset[int]:
 
 
 def is_representable(m: Matroid, q: int) -> RepResult:
-    """Decide GF(q)-representability; on success return a full matrix.
-
-    Caps: rank <= 5 and at most 40 points.  The returned matrix assigns
-    the zero vector to loops and equal columns to parallel elements.
-    """
+    """Decide GF(q)-representability; on success return a full matrix,
+    loops and parallel elements mapped as the module docstring says.
+    Caps: rank <= 5 and at most 40 points."""
     f = gf.field(q)
     r = m.rank()
     simp, mapping = m.simplify()

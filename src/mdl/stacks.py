@@ -11,15 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import rep
 from .bits import indices_of, union
 from .core import Matroid
 from .errors import CapExceeded, InputError, PremiseError, cap_override
-
-if TYPE_CHECKING:
-    from .covers import DensityParams
 
 LAYER_BUDGET = 1_000_000
 
@@ -206,6 +202,29 @@ def skew_stack(m: Matroid, cert: StackCert, x: int, a: int) -> tuple[int, StackC
     if final_conn != 0:
         raise RuntimeError(f"skewing postcondition failed: local connectivity {final_conn}")
     return c, out
+
+
+@dataclass(frozen=True)
+class DensityParams:
+    """Parameters of alpha_getstack, the density stack threshold."""
+
+    a: int
+    b: int
+    q: int
+    d: int
+    t: int
+    h: int
+    lam: Fraction
+
+    def __post_init__(self):
+        if not 1 <= self.a < self.b:
+            raise InputError("need 1 <= a < b")
+        if self.q < 2:
+            raise InputError("need q >= 2")
+        if self.d < 1 or self.t < 1 or self.h < 0:
+            raise InputError("need d >= 1, t >= 1, h >= 0")
+        if self.lam < 0:
+            raise InputError("need lam >= 0")
 
 
 def alpha_getstack(params: DensityParams) -> Fraction:

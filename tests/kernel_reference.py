@@ -6,12 +6,13 @@ taking one closure per a-subset of X, the uniform restriction scanning
 every element, the representability re-check walking every level of
 the flat lattice, `gf.Matrix` checking and transposing entry by entry,
 the stack projection making C disjoint from the stack in a parallel
-extension, and `catalog._random_columns` drawing each entry with
-`randrange`.  Kept as the reference that tests/test_kernel_reference.py
-compares `mdl.covers`, `mdl.rep`, `mdl.gf`, `mdl.stacks` and
-`mdl.catalog` with: the same values, covers, witnesses, verdicts,
-entries, parts, columns and error text.  The copies are verbatim;
-recursive calls and `thick_uniform_minor` reach the copies here."""
+extension (`ParallelExtensionMatroid`, kept here with it), and
+`catalog._random_columns` drawing each entry with `randrange`.  Kept as
+the reference that tests/test_kernel_reference.py compares
+`mdl.covers`, `mdl.rep`, `mdl.gf`, `mdl.stacks` and `mdl.catalog` with:
+the same values, covers, witnesses, verdicts, entries, parts, columns
+and error text.  The copies are verbatim; recursive calls and
+`thick_uniform_minor` reach the copies here."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 from mdl import gf
 from mdl.bits import bits, indices_of, ksubsets, mask_of, union
-from mdl.core import Matroid, parallel_extension
+from mdl.core import Matroid
 from mdl.covers import (COVER_NODE_CAP, INF, Cover, CoverResult, _bound_scale, _exact_cover,
                         _fractional_bound, is_d_thick)
 from mdl.errors import CapExceeded, InputError, PremiseError, UniformMinorDetected
@@ -355,6 +356,43 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix(GF({self.field.q}), {self.rows}x{self.cols})"
+
+
+class ParallelExtensionMatroid(Matroid):
+    """Base matroid plus fresh elements, each parallel to an existing one.
+
+    The host of the old `project_stack` below, and the test corpora's
+    only non-linear parallel class; `stacks` no longer needs it, as a
+    contraction set may meet the stack.  Not part of the file format.
+    """
+
+    kind = "parallel_extension"
+
+    def __init__(self, base: Matroid, originals: Sequence[int]):
+        for e in originals:
+            if not (base.ground >> e) & 1:
+                raise IndexError("parallel extension of a dead element")
+        super().__init__(base.n + len(originals), base.ground |
+                         (((1 << len(originals)) - 1) << base.n))
+        self.base = base
+        self.originals = tuple(originals)
+
+    def copy_index(self, i: int) -> int:
+        return self.base.n + i
+
+    def _project(self, x: int) -> int:
+        lo = x & ((1 << self.base.n) - 1)
+        hi = x >> self.base.n
+        for i in bits(hi):
+            lo |= 1 << self.originals[i]
+        return lo
+
+    def _rank_impl(self, x: int) -> int:
+        return self.base.rank(self._project(x))
+
+
+def parallel_extension(base: Matroid, originals: Sequence[int]) -> ParallelExtensionMatroid:
+    return ParallelExtensionMatroid(base, originals)
 
 
 def project_stack(m: Matroid, cert: StackCert, c: int, k: int) -> StackCert:

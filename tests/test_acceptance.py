@@ -13,7 +13,7 @@ import pytest
 from mdl import catalog, covers, gf, harness, rep, stacks
 from mdl.bits import mask_of
 from mdl.core import UniformMatroid, direct_sum, validate_rank_axioms
-from mdl.covers import DensityParams
+from mdl.stacks import DensityParams
 
 import test_rep as rep_oracle
 

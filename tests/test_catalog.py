@@ -4,9 +4,10 @@ import hashlib
 
 import pytest
 
-from mdl import catalog, rep
+from mdl import catalog, core, rep
 from mdl.bits import submasks
-from mdl.core import UniformMatroid, validate_rank_axioms
+from mdl.core import (DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid, UniformMatroid,
+                      direct_sum, validate_rank_axioms)
 from mdl.catalog import ParseError
 from mdl.cli import main
 
@@ -159,6 +160,28 @@ def test_round_trip_direct_sum(tmp_path):
     assert ranks_equal(catalog.read_matroid(p), m)
 
 
+def kind_samples():
+    """A small sample of each matroid kind in mdl.core, by class."""
+    fano = catalog.gen("fano")
+    return {UniformMatroid: UniformMatroid(2, 5), LinearMatroid: fano,
+            MinorMatroid: fano.minor(0b1, 0b100),
+            DirectSumMatroid: direct_sum([UniformMatroid(1, 2), catalog.gen("pg", (2, 3))])}
+
+
+def test_every_kind_in_core_round_trips(tmp_path):
+    """Every Matroid subclass mdl.core defines can be written to a file and
+    read back with the same rank on every subset."""
+    kinds = {cls for cls in vars(core).values() if isinstance(cls, type)
+             and issubclass(cls, Matroid) and cls is not Matroid and cls.__module__ == core.__name__}
+    samples = kind_samples()
+    assert kinds == set(samples)
+    p = str(tmp_path / "kind.mtd")
+    for cls, m in samples.items():
+        assert type(m) is cls
+        catalog.write_matroid(m, p)
+        assert ranks_equal(catalog.read_matroid(p), m), cls
+
+
 def test_round_trip_with_header_comment(tmp_path):
     m = UniformMatroid(1, 3)
     p = str(tmp_path / "hdr.mtd")
@@ -187,6 +210,16 @@ def test_parse_error_missing_base(tmp_path):
     with pytest.raises(ParseError) as exc:
         catalog.read_matroid(str(p))
     assert "ghost" in str(exc.value)
+
+
+@pytest.mark.parametrize("line", ["contract -1", "delete -2", "contract 7", "delete 0 9"])
+def test_parse_error_minor_index_outside_base(tmp_path, line):
+    """An index below 0 or past the base is refused at the minor's block line."""
+    p = tmp_path / "bad.mtd"
+    p.write_text(f"matroid u\nkind uniform\nparams 2 7\nend\n\nmatroid x\nkind minor\nof u\n{line}\nend\n")
+    with pytest.raises(ParseError) as exc:
+        catalog.read_matroid(str(p))
+    assert str(exc.value) == f"{p}:6: minor sets contain dead elements"
 
 
 def test_parse_error_unknown_kind(tmp_path):

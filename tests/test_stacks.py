@@ -7,7 +7,7 @@ import pytest
 
 from mdl import catalog, core, covers, stacks
 from mdl.bits import mask_of
-from mdl.covers import DensityParams
+from mdl.stacks import DensityParams
 from mdl.errors import CapExceeded, PremiseError
 
 
